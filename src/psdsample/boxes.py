@@ -3,11 +3,15 @@
 Boxes are half-open, ``lower[k] <= x_k < upper[k]``, which is what lets a
 dyadic bisection partition a box without overlap or gaps.  Infinite
 endpoints are allowed; operations that need a bounded box say so.
+
+``bisect_longest`` is the one longest-side bisection the sampler, the
+leaf enumeration and the quadrature share, and ``halving_counts`` gives
+the depth it reaches per axis before every side is at most rho.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,28 +67,6 @@ class HyperRectangle:
             raise ValueError("point dimension mismatch")
         return np.all((pts >= self.lower) & (pts < self.upper), axis=1)
 
-    def split_largest_side(self) -> tuple["HyperRectangle", "HyperRectangle", int]:
-        """Bisect along the longest side (lowest index on ties).
-
-        Returns the two halves and the split axis.  The midpoint is the
-        floating-point average of the endpoints, so repeated splits of a
-        dyadic box stay exact.
-        """
-        if not self.is_bounded():
-            raise ValueError("cannot split an unbounded box")
-        sides = self.side_lengths
-        axis = int(np.argmax(sides))
-        mid = 0.5 * (self.lower[axis] + self.upper[axis])
-        lo2 = self.lower.copy()
-        hi1 = self.upper.copy()
-        hi1[axis] = mid
-        lo2[axis] = mid
-        return (
-            HyperRectangle(self.lower.copy(), hi1),
-            HyperRectangle(lo2, self.upper.copy()),
-            axis,
-        )
-
     def double_size(self) -> "HyperRectangle":
         """Double every side length about the center."""
         if not self.is_bounded():
@@ -103,3 +85,42 @@ class HyperRectangle:
     @classmethod
     def whole_space(cls, dim: int) -> "HyperRectangle":
         return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
+
+
+def bisect_longest(lo, hi) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Bisect a batch of boxes along their longest sides.
+
+    ``lo`` and ``hi`` are (B, d) corner arrays.  Each box is split on its
+    longest side (lowest index on ties) at the floating-point average of
+    the endpoints, so repeated splits of a dyadic box stay exact.  Returns
+    ``(left_hi, right_lo)``: the left half is ``(lo, left_hi)`` and the
+    right half is ``(right_lo, hi)``.
+    """
+    axis = np.argmax(hi - lo, axis=1)
+    rows = np.arange(lo.shape[0])
+    mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+    left_hi = hi.copy()
+    left_hi[rows, axis] = mid
+    right_lo = lo.copy()
+    right_lo[rows, axis] = mid
+    return left_hi, right_lo
+
+
+def halving_counts(box: HyperRectangle, rho: float) -> NDArray[np.int64]:
+    """Times each side must halve before it is at most rho.
+
+    Computed by the same repeated multiplication the recursion performs,
+    so the counts match the actual tree depth even when a side length
+    sits within rounding of a power of two times rho.
+    """
+    if not box.is_bounded():
+        raise ValueError("cannot count halvings of an unbounded box")
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    counts = np.zeros(box.dim, dtype=np.int64)
+    for k, length in enumerate(box.side_lengths):
+        s = float(length)
+        while s > rho:
+            s *= 0.5
+            counts[k] += 1
+    return counts

@@ -327,7 +327,10 @@ def fit_psd(
 
     The oracle must be of kind "nonnegative".  The objective trace in
     the report is monotone; hitting ``max_iters`` emits a
-    ``ConvergenceWarning`` and marks the report not converged.
+    ``ConvergenceWarning`` and marks the report not converged.  A descent
+    from the warm start that ends above 0, the objective of A = 0, is
+    replaced by the descent from A = 0, whose trace and iterations the
+    report then holds.
     """
     if oracle.kind != "nonnegative":
         raise ValueError("fit_psd needs a nonnegative oracle")
@@ -366,39 +369,47 @@ def fit_psd(
     except np.linalg.LinAlgError:
         A = np.zeros((m, m))
 
-    obj = objective(A)
-    trace = [obj]
-    step = 1.0
-    iters = 0
-    converged = False
-    for iters in range(1, max_iters + 1):
-        g = gradient(A)
-        accepted = False
-        for _ in range(60):
-            A_new = project_psd(A - step * g)
-            delta = A_new - A
-            dn2 = float(np.sum(delta * delta))
-            if dn2 == 0.0:
-                accepted = True
-                A_new = A
-                obj_new = obj
+    def descend(A):
+        obj = objective(A)
+        trace = [obj]
+        step = 1.0
+        iters = 0
+        converged = False
+        for iters in range(1, max_iters + 1):
+            g = gradient(A)
+            accepted = False
+            for _ in range(60):
+                A_new = project_psd(A - step * g)
+                delta = A_new - A
+                dn2 = float(np.sum(delta * delta))
+                if dn2 == 0.0:
+                    accepted = True
+                    A_new = A
+                    obj_new = obj
+                    break
+                obj_new = objective(A_new)
+                if obj_new <= obj + float(np.sum(g * delta)) + dn2 / (2.0 * step):
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
                 break
-            obj_new = objective(A_new)
-            if obj_new <= obj + float(np.sum(g * delta)) + dn2 / (2.0 * step):
-                accepted = True
+            moved = float(np.linalg.norm(A_new - A))
+            A = A_new
+            if obj_new < obj:
+                trace.append(obj_new)
+            obj = obj_new
+            step *= 1.2
+            if moved <= step_tol * (1.0 + float(np.linalg.norm(A))):
+                converged = True
                 break
-            step *= 0.5
-        if not accepted:
-            break
-        moved = float(np.linalg.norm(A_new - A))
-        A = A_new
-        if obj_new < obj:
-            trace.append(obj_new)
-        obj = obj_new
-        step *= 1.2
-        if moved <= step_tol * (1.0 + float(np.linalg.norm(A))):
-            converged = True
-            break
+        return A, obj, trace, iters, converged
+
+    A, obj, trace, iters, converged = descend(A)
+    if obj > 0.0:
+        # An ill-conditioned warm start can trap the descent above the
+        # objective of A = 0, which is 0; start over from there.
+        A, obj, trace, iters, converged = descend(np.zeros((m, m)))
     if not converged:
         warnings.warn(
             "projected gradient stopped after %d iterations" % iters,

@@ -14,6 +14,11 @@ that term count, which the tests pin, not the erfs actually evaluated.
 The evaluation does less work: the (i, j) and (j, i) terms are identical,
 so each unique pair is evaluated once, and a batch of boxes evaluates erf
 once per distinct edge per axis, which bisected boxes share heavily.
+
+A rank-one model is integrated through its cached full form
+(``RankOneModel.to_psd``).  ``quartic_gram`` and ``integrate_squared``
+share one row-chunked erf loop for the squared model and one check of
+its pair-product cap.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from scipy.special import erf as _erf
 
 from .boxes import HyperRectangle
 from .exceptions import ResourceLimitError
-from .models import GaussianPsdModel, RankOneModel
+from .kernels import kernel_matrix
+from .models import _as_psd
 
 __all__ = [
     "IntegralAccounting",
@@ -71,15 +77,6 @@ def _erf_subst(t: NDArray[np.float64]):
     return out
 
 
-def _model_pairs(model):
-    if isinstance(model, RankOneModel):
-        model = model.to_psd()
-    if not isinstance(model, GaussianPsdModel):
-        raise TypeError("expected a GaussianPsdModel or RankOneModel")
-    mid, w = model._pair_data
-    return model, mid, w
-
-
 def integrate_boxes(
     model,
     lowers,
@@ -92,7 +89,8 @@ def integrate_boxes(
     allowed).  Returns a length-B vector, clamped at zero since roundoff
     can leave residuals of order -1e-12 on a PSD model.
     """
-    model, mid, w = _model_pairs(model)
+    model = _as_psd(model)
+    mid, w = model._pair_data
     lowers = np.atleast_2d(np.asarray(lowers, dtype=float))
     uppers = np.atleast_2d(np.asarray(uppers, dtype=float))
     d = model.d
@@ -144,6 +142,33 @@ def integrate(model, box: HyperRectangle, acct: IntegralAccounting | None = None
     return float(vals[0])
 
 
+def _check_pair_cap(n_pairs: int, pair_cap: float) -> None:
+    if float(n_pairs) ** 2 > pair_cap:
+        raise ResourceLimitError(
+            "quartic closed form needs %.3g pair products (cap %.3g); "
+            "use Monte Carlo integration of the squared model instead"
+            % (float(n_pairs) ** 2, pair_cap)
+        )
+
+
+def _quartic_erf_rows(mid, eta, box: HyperRectangle):
+    """Row chunks of the quartic erf products over a box.
+
+    Yields ``(start, stop, J)`` with J[p - start, q] the product over
+    axes of the k_{4 eta} Gaussian integral, without its constant, at the
+    average of pair midpoints p and q.
+    """
+    n_pairs, d = mid.shape
+    s = np.sqrt(4.0 * eta)
+    step = max(1, _CHUNK_ELEMS // max(1, n_pairs * d))
+    for start in range(0, n_pairs, step):
+        stop = min(n_pairs, start + step)
+        centers = 0.5 * (mid[start:stop, None, :] + mid[None, :, :])  # (b, pairs, d)
+        erf_hi = _erf_subst(s * (box.upper - centers))
+        erf_lo = _erf_subst(s * (box.lower - centers))
+        yield start, stop, (erf_hi - erf_lo).prod(axis=2)
+
+
 def quartic_gram(
     X,
     eta,
@@ -162,41 +187,26 @@ def quartic_gram(
     (m^2, m^2) symmetric PSD matrix; for any coefficient matrix A,
     vec(A)^T G vec(A) integrates the squared model.
 
-    Raises ``ResourceLimitError`` when m^4 exceeds ``pair_cap``; at that
-    size a Monte Carlo estimate of the squared integral is the sane
-    alternative.
+    Raises ``ResourceLimitError`` when the m^4 pair products exceed
+    ``pair_cap``; at that size a Monte Carlo estimate of the squared
+    integral is the sane alternative.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     eta = np.asarray(eta, dtype=float)
     m, d = X.shape
     n_pairs = m * m
-    if float(n_pairs) ** 2 > pair_cap:
-        raise ResourceLimitError(
-            "quartic pair tensor needs m^4 = %.3g entries (cap %.3g); "
-            "use Monte Carlo integration of the squared model instead"
-            % (float(n_pairs) ** 2, pair_cap)
-        )
+    _check_pair_cap(n_pairs, pair_cap)
     if box.dim != d:
         raise ValueError("box dimension does not match the centers")
-
-    from .kernels import kernel_matrix
 
     K_half = kernel_matrix(0.5 * eta, X).ravel()  # (m^2,)
     mid = 0.5 * (X[:, None, :] + X[None, :, :]).reshape(n_pairs, d)
     K_mid = kernel_matrix(eta, mid)  # (m^2, m^2)
-
-    s = np.sqrt(4.0 * eta)
-    c = float(np.prod(np.sqrt(np.pi) / (2.0 * s)))
-    lo = box.lower
-    hi = box.upper
+    c = float(np.prod(np.sqrt(np.pi) / (2.0 * np.sqrt(4.0 * eta))))
 
     J = np.empty((n_pairs, n_pairs))
-    step = max(1, _CHUNK_ELEMS // max(1, n_pairs * d))
-    for start in range(0, n_pairs, step):
-        stop = min(n_pairs, start + step)
-        centers = 0.5 * (mid[start:stop, None, :] + mid[None, :, :])  # (b, m^2, d)
-        diff = _erf_subst(s * (hi - centers)) - _erf_subst(s * (lo - centers))
-        J[start:stop] = diff.prod(axis=2)
+    for start, stop, rows in _quartic_erf_rows(mid, eta, box):
+        J[start:stop] = rows
     G = np.outer(K_half, K_half) * K_mid * (c * J)
     return 0.5 * (G + G.T)
 
@@ -204,32 +214,18 @@ def quartic_gram(
 def integrate_squared(model, box: HyperRectangle, pair_cap: float = 1e8) -> float:
     """Integral of f^2 over a box via the quartic closed form.
 
-    Accumulates the m^2 x m^2 bilinear form in row chunks, so memory
-    stays bounded even near the pair cap.
+    Accumulates the bilinear form over the (m(m+1)/2)^2 unique pair
+    products in row chunks, so memory stays bounded even near the pair
+    cap.
     """
-    from .kernels import kernel_matrix
-
-    model, mid, w = _model_pairs(model)
+    model = _as_psd(model)
+    mid, w = model._pair_data
     if box.dim != model.d:
         raise ValueError("box dimension does not match the model")
-    n_pairs = mid.shape[0]
-    if float(n_pairs) ** 2 > pair_cap:
-        raise ResourceLimitError(
-            "squared integral needs m^4 = %.3g pair products (cap %.3g); "
-            "use Monte Carlo integration of the squared model instead"
-            % (float(n_pairs) ** 2, pair_cap)
-        )
-    s = np.sqrt(4.0 * model.eta)
-    c = float(np.prod(np.sqrt(np.pi) / (2.0 * s)))
-    lo = box.lower
-    hi = box.upper
+    _check_pair_cap(mid.shape[0], pair_cap)
+    c = float(np.prod(np.sqrt(np.pi) / (2.0 * np.sqrt(4.0 * model.eta))))
     total = 0.0
-    step = max(1, _CHUNK_ELEMS // max(1, n_pairs * model.d))
-    for start in range(0, n_pairs, step):
-        stop = min(n_pairs, start + step)
-        centers = 0.5 * (mid[start:stop, None, :] + mid[None, :, :])
-        diff = _erf_subst(s * (hi - centers)) - _erf_subst(s * (lo - centers))
-        J = diff.prod(axis=2)  # (b, m^2)
+    for start, stop, J in _quartic_erf_rows(mid, model.eta, box):
         K_rows = kernel_matrix(model.eta, mid[start:stop], mid)
         total += float(w[start:stop] @ ((K_rows * J) @ w))
     return max(c * total, 0.0)

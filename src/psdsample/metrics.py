@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .boxes import HyperRectangle
+from .boxes import HyperRectangle, bisect_longest, halving_counts
 from .exceptions import EmptyMassError, ResourceLimitError
 from .integration import IntegralAccounting, integrate_boxes
 from .models import lipschitz_bounds
 from .quadrature import adaptive_box_quadrature
-from .sampler import halving_counts
 
 __all__ = [
     "DyadicDensity",
@@ -109,13 +108,7 @@ def dyadic_density(
         if not np.any(split):
             break
         slo, shi = lo[split], hi[split]
-        axis = np.argmax(shi - slo, axis=1)
-        rows = np.arange(slo.shape[0])
-        mid = 0.5 * (slo[rows, axis] + shi[rows, axis])
-        l_hi = shi.copy()
-        l_hi[rows, axis] = mid
-        r_lo = slo.copy()
-        r_lo[rows, axis] = mid
+        l_hi, r_lo = bisect_longest(slo, shi)
         lo = np.concatenate([lo[~split], slo, r_lo])
         hi = np.concatenate([hi[~split], l_hi, shi])
     masses = integrate_boxes(model, lo, hi, acct)

@@ -79,8 +79,6 @@ class GaussianPsdModel:
 
     def __post_init__(self):
         eta = validate_precisions(self.eta)
-        if np.any(eta <= 0):
-            raise ValueError("model eta must be strictly positive")
         X = _validate_centers(self.X, eta.size)
         m = X.shape[0]
         A = np.asarray(self.A, dtype=float)
@@ -170,8 +168,6 @@ class RankOneModel:
 
     def __post_init__(self):
         eta = validate_precisions(self.eta)
-        if np.any(eta <= 0):
-            raise ValueError("model eta must be strictly positive")
         X = _validate_centers(self.X, eta.size)
         a = np.asarray(self.a, dtype=float)
         if a.shape != (X.shape[0],):
@@ -207,6 +203,15 @@ class RankOneModel:
         return g * g
 
     def to_psd(self) -> GaussianPsdModel:
+        """The equivalent full model, built once and reused.
+
+        Caching keeps its PSD check and pair data from being recomputed
+        by every integral on this model.
+        """
+        return self._psd
+
+    @cached_property
+    def _psd(self) -> GaussianPsdModel:
         return GaussianPsdModel(
             A=np.outer(self.a, self.a), X=self.X, eta=self.eta, rank_one_a=self.a
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boxes import HyperRectangle
+from .boxes import HyperRectangle, bisect_longest
 from .exceptions import ResourceLimitError
 
 __all__ = ["adaptive_box_quadrature"]
@@ -69,18 +69,11 @@ def adaptive_box_quadrature(
     total = 0.0
     used = 1
     while lo.shape[0] > 0:
-        sides = hi - lo
-        axis = np.argmax(sides, axis=1)
-        rows = np.arange(lo.shape[0])
-        mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
-        l_hi = hi.copy()
-        l_hi[rows, axis] = mid
-        r_lo = lo.copy()
-        r_lo[rows, axis] = mid
+        l_hi, r_lo = bisect_longest(lo, hi)
         est_l = _panel_estimates(fn, lo, l_hi, nodes, weights)
         est_r = _panel_estimates(fn, r_lo, hi, nodes, weights)
         refined = est_l + est_r
-        vol = np.prod(sides, axis=1)
+        vol = np.prod(hi - lo, axis=1)
         done = np.abs(parent - refined) <= 0.5 * tol_abs * vol / vol_total
         total += float(refined[done].sum())
         keep = ~done

@@ -1,9 +1,10 @@
 """Rejection-free i.i.d. sampling from a Gaussian PSD model on a box.
 
 The sampler bisects the box along its longest side (lowest index on
-ties), splits the requested sample count between the halves with an
-exact binomial draw on the mass ratio, and recurses until every side is
-at most ``rho``; inside such a leaf, points are uniform.  A final random
+ties, ``boxes.bisect_longest``), splits the requested sample count
+between the halves with an exact binomial draw on the mass ratio, and
+recurses until every side is at most ``rho``; inside such a leaf, points
+are uniform.  A final random
 permutation makes the output exchangeable, so the N points are i.i.d.
 from the piecewise-uniform density the leaves define.
 
@@ -33,7 +34,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.stats import binom
 
-from .boxes import HyperRectangle
+from .boxes import HyperRectangle, bisect_longest, halving_counts
 from .exceptions import EmptyMassError, ResourceLimitError, UnboundedDomainError
 from .integration import IntegralAccounting, integrate, integrate_boxes
 from .models import lipschitz_bounds
@@ -45,7 +46,6 @@ __all__ = [
     "adaptive_rho",
     "find_support",
     "integral_budget",
-    "halving_counts",
     "read_samples_csv",
     "read_samples_binary",
     "write_samples_csv",
@@ -78,22 +78,6 @@ class SampleRun:
     accounting: IntegralAccounting
     rho_used: float
     leaf_count: int
-
-
-def halving_counts(box: HyperRectangle, rho: float) -> NDArray[np.int64]:
-    """Times each side must halve before it is at most rho.
-
-    Computed by the same repeated multiplication the recursion performs,
-    so the counts match the actual tree depth even when a side length
-    sits within rounding of a power of two times rho.
-    """
-    counts = np.zeros(box.dim, dtype=np.int64)
-    for k, length in enumerate(box.side_lengths):
-        s = float(length)
-        while s > rho:
-            s *= 0.5
-            counts[k] += 1
-    return counts
 
 
 def integral_budget(box: HyperRectangle, rho: float, n_samples: int) -> float:
@@ -181,13 +165,7 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
         imass = mass[keep]
         icnt = cnt[keep]
         ioff = off[keep]
-        axis = np.argmax(ihi - ilo, axis=1)
-        rows = np.arange(keep.size)
-        mid = 0.5 * (ilo[rows, axis] + ihi[rows, axis])
-        left_hi = ihi.copy()
-        left_hi[rows, axis] = mid
-        right_lo = ilo.copy()
-        right_lo[rows, axis] = mid
+        left_hi, right_lo = bisect_longest(ilo, ihi)
 
         left_mass = integrate_boxes(model, ilo, left_hi, acct)
         np.minimum(left_mass, imass, out=left_mass)

@@ -167,6 +167,19 @@ def test_psd_fit_objective_descends_monotonically():
     assert np.linalg.eigvalsh(model.A).min() >= -1e-9 * max(np.abs(model.A).max(), 1)
 
 
+@pytest.mark.filterwarnings("ignore::psdsample.exceptions.ConvergenceWarning")
+def test_psd_fit_never_ends_above_the_zero_matrix():
+    # the warm start here comes from an ill-conditioned solve (objective
+    # above 1e17), and the descent from it stalls far above 0, the
+    # objective at A = 0
+    oracle = get_density("double-well-1d").oracle("nonnegative")
+    cfg = FitConfig(n=4000, m=20, tau=1.0, lam=1e-4, seed=4)
+    _, report = fit_psd(oracle, cfg)
+    trace = report.objective_trace
+    assert trace[-1] <= 0.0
+    assert all(a >= b for a, b in zip(trace, trace[1:]))
+
+
 def test_psd_fit_recovers_planted_model_on_grid():
     # same centers, dense midpoint design, tiny lambda: the fitted model
     # matches the planted one after normalization

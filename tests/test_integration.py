@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psdsample import integration
-from psdsample.boxes import HyperRectangle
+from psdsample.boxes import HyperRectangle, bisect_longest
 from psdsample.exceptions import ResourceLimitError
 from psdsample.integration import (
     IntegralAccounting,
@@ -100,13 +100,18 @@ def test_batch_matches_single_box_calls(monkeypatch):
     # Four levels of longest-side bisection, so boxes share edges as in
     # the sampler, plus infinite and zero-width edges, over several chunks.
     model = random_model(14, d=3, m=4)
-    level = [HyperRectangle(np.array([-2.0, -1.0, -3.0]), np.array([2.0, 1.5, 0.0]))]
-    boxes = []
+    lo = np.array([[-2.0, -1.0, -3.0]])
+    hi = np.array([[2.0, 1.5, 0.0]])
+    los, his = [], []
     for _ in range(4):
-        level = [half for box in level for half in box.split_largest_side()[:2]]
-        boxes += level
-    lo = np.array([box.lower for box in boxes])
-    hi = np.array([box.upper for box in boxes])
+        # each box's left half, then its right half
+        left_hi, right_lo = bisect_longest(lo, hi)
+        lo = np.stack([lo, right_lo], axis=1).reshape(-1, 3)
+        hi = np.stack([left_hi, hi], axis=1).reshape(-1, 3)
+        los.append(lo)
+        his.append(hi)
+    lo = np.concatenate(los)
+    hi = np.concatenate(his)
     n = lo.shape[0]
     lo[3, 0] = -np.inf
     hi[8, 2] = np.inf
@@ -132,7 +137,9 @@ def test_batch_matches_single_box_calls(monkeypatch):
 def test_additivity_under_box_split():
     model = random_model(9, d=2, m=4)
     box = HyperRectangle(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    left, right, _ = box.split_largest_side()
+    left_hi, right_lo = bisect_longest(box.lower[None, :], box.upper[None, :])
+    left = HyperRectangle(box.lower, left_hi[0])
+    right = HyperRectangle(right_lo[0], box.upper)
     whole = integrate(model, box)
     parts = integrate(model, left) + integrate(model, right)
     assert np.isclose(whole, parts, rtol=1e-13)
@@ -188,5 +195,10 @@ def test_pair_cap_raises():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(40, 1))
     box = HyperRectangle(np.array([-1.0]), np.array([1.0]))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="2.56e\\+06 pair products"):
         quartic_gram(X, np.array([1.0]), box, pair_cap=1e4)
+    # the squared integral counts unique pairs: (40 * 41 / 2)^2 = 672400
+    model = GaussianPsdModel(A=np.eye(40), X=X, eta=np.array([1.0]))
+    with pytest.raises(ResourceLimitError, match="6.72e\\+05 pair products"):
+        integrate_squared(model, box, pair_cap=6e5)
+    assert integrate_squared(model, box, pair_cap=6.8e5) > 0.0

@@ -75,6 +75,13 @@ def test_rank_one_square_matches_psd_form():
     assert psd.rank_one_a is not None
 
 
+def test_rank_one_to_psd_is_built_once():
+    r1 = RankOneModel(
+        a=np.array([1.0, -0.5]), X=np.array([[0.0], [1.0]]), eta=np.array([1.0])
+    )
+    assert r1.to_psd() is r1.to_psd()
+
+
 def test_rejects_asymmetric_and_indefinite_coefficients():
     X = np.array([[0.0], [1.0]])
     eta = np.array([1.0])

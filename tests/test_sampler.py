@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psdsample.boxes import HyperRectangle
+from psdsample.boxes import HyperRectangle, halving_counts
 from psdsample.exceptions import EmptyMassError, UnboundedDomainError
 from psdsample.integration import IntegralAccounting, integrate, integrate_boxes
 from psdsample.models import GaussianPsdModel, RankOneModel
@@ -9,7 +9,6 @@ from psdsample.sampler import (
     SamplerParams,
     adaptive_rho,
     find_support,
-    halving_counts,
     integral_budget,
     read_samples_binary,
     read_samples_csv,
