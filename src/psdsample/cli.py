@@ -1,18 +1,10 @@
 """Command line front end: fit, sample, evaluate, benchmark.
 
 Every command reads a single JSON config file and derives all randomness
-from one ``--seed`` flag.  Stream derivation is documented and fixed:
-seed S and a role key tuple k map to the 64-bit integer
-
-    numpy.random.SeedSequence(S, spawn_key=k).generate_state(1)[0]
-
-with role keys
-
-    (0,)                fit
-    (1,)                sample
-    (2, r)              benchmark ground-truth reference draw, repetition r
-    (3, i, j, r, 0)     benchmark fit: method index i, budget index j, rep r
-    (3, i, j, r, 1)     benchmark sampling, same coordinates
+from one ``--seed`` flag through ``experiment.derive_seed``, whose
+docstring lists the fixed role keys of each stream.  The benchmark
+command runs ``experiment.run_benchmark``; this module only parses
+configs and writes outputs.
 
 Relative paths in the config's "paths" section resolve under ``--out``;
 absolute paths are used as given.  All JSON output is written with
@@ -33,11 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baseline import build_grid
 from .boxes import HyperRectangle
 from .densities import TargetDensity, get_density, list_densities
 from .estimator import FitConfig, fit_psd, fit_rank_one, fit_rank_one_holdout
 from .exceptions import PsdSampleError
+from .experiment import derive_seed, run_benchmark
 from .integration import integrate
 from .metrics import empirical_mmd, exact_distances
 from .models import load_model, save_model
@@ -56,12 +48,6 @@ REPORT_FORMAT_VERSION = 1
 
 class ConfigError(Exception):
     """Invalid or inconsistent configuration; maps to exit code 2."""
-
-
-def derive_seed(root_seed: int, *key: int) -> int:
-    """Collapse a root seed and role key into an independent u64 seed."""
-    ss = np.random.SeedSequence(root_seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 _CONFIG_KEYS = ("density", "domain", "fit", "sampler", "metric", "benchmark", "paths")
@@ -157,13 +143,33 @@ def _dump_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _resolve(out_dir: str, paths: dict, key: str, default: str) -> str:
-    name = paths.get(key, default)
-    if not isinstance(name, str):
-        raise ConfigError(f"paths.{key} must be a string")
+def _resolve(out_dir: str, name: str) -> str:
+    """A config path under ``--out``; absolute paths are used as given."""
     if os.path.isabs(name):
         return name
     return os.path.join(out_dir, name)
+
+
+def _config_path(
+    args: argparse.Namespace, cfg: ExperimentConfig, key: str, default: str
+) -> str:
+    name = cfg.paths.get(key, default)
+    if not isinstance(name, str):
+        raise ConfigError(f"paths.{key} must be a string")
+    return _resolve(args.out, name)
+
+
+def _load_model(args: argparse.Namespace, cfg: ExperimentConfig):
+    model_path = _config_path(args, cfg, "model", "model.json")
+    try:
+        return load_model(model_path)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot load model {model_path}: {exc}") from None
+
+
+def _check_dim(box: HyperRectangle, model) -> None:
+    if box.dim != model.d:
+        raise ConfigError(f"domain has dimension {box.dim}, model has {model.d}")
 
 
 def _section(cfg_section: Optional[dict], name: str) -> dict:
@@ -198,17 +204,10 @@ def cmd_fit(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.psd:
         if taus or lams:
             raise ConfigError("holdout grids are only supported for rank-one fits")
-        oracle = target.oracle("nonnegative")
-        try:
-            model, report = fit_psd(oracle, fit_cfg)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        model, report = fit_psd(target.oracle("nonnegative"), fit_cfg)
         model_obj = model
     else:
-        try:
-            oracle = target.oracle("linear")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        oracle = target.oracle("linear")
         if taus or lams:
             if not (taus and lams):
                 raise ConfigError("holdout needs both 'taus' and 'lambdas' lists")
@@ -217,8 +216,8 @@ def cmd_fit(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             model, report = fit_rank_one(oracle, fit_cfg)
         model_obj = model.to_psd()
 
-    model_path = _resolve(args.out, cfg.paths, "model", "model.json")
-    report_path = _resolve(args.out, cfg.paths, "report", "fit_report.json")
+    model_path = _config_path(args, cfg, "model", "model.json")
+    report_path = _config_path(args, cfg, "report", "fit_report.json")
     os.makedirs(os.path.dirname(model_path) or ".", exist_ok=True)
     save_model(model_obj, model_path)
     _dump_json(report_path, {
@@ -236,21 +235,15 @@ def cmd_fit(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 def cmd_sample(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     section = _section(cfg.sampler, "sampler")
-    model_path = _resolve(args.out, cfg.paths, "model", "model.json")
-    try:
-        model = load_model(model_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load model {model_path}: {exc}") from None
+    model = _load_model(args, cfg)
 
     find_support_requested = bool(
         args.find_support or section.get("find_support", False)
     )
     support_info = None
     box = cfg.domain_box()
-    if box is not None and box.dim != model.d:
-        raise ConfigError(
-            f"domain has dimension {box.dim}, model has {model.d}"
-        )
+    if box is not None:
+        _check_dim(box, model)
     if box is None or not box.is_bounded():
         if not find_support_requested:
             raise ConfigError(
@@ -274,10 +267,7 @@ def cmd_sample(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if (rho_cfg is None) == (eps is None):
         raise ConfigError("exactly one of 'rho' or 'eps' must be given")
     if eps is not None:
-        try:
-            rho_val = adaptive_rho(model, box, float(eps), metric=metric)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        rho_val = adaptive_rho(model, box, float(eps), metric=metric)
     else:
         rho_val = float(rho_cfg)
 
@@ -288,8 +278,8 @@ def cmd_sample(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     )
     run = sample(model, box, params)
 
-    samples_path = _resolve(args.out, cfg.paths, "samples", "samples.csv")
-    report_path = _resolve(args.out, cfg.paths, "report", "sample_report.json")
+    samples_path = _config_path(args, cfg, "samples", "samples.csv")
+    report_path = _config_path(args, cfg, "report", "sample_report.json")
     os.makedirs(os.path.dirname(samples_path) or ".", exist_ok=True)
     write_samples_csv(run.samples, samples_path)
 
@@ -334,27 +324,17 @@ def _as_path_list(paths: dict, key: str) -> list:
 def cmd_evaluate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     metric = _section(cfg.metric, "metric")
     name = metric.get("name")
-    report_path = _resolve(args.out, cfg.paths, "report", "evaluate_report.json")
+    report_path = _config_path(args, cfg, "report", "evaluate_report.json")
 
     if name == "exact":
-        model_path = _resolve(args.out, cfg.paths, "model", "model.json")
-        try:
-            model = load_model(model_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load model {model_path}: {exc}") from None
+        model = _load_model(args, cfg)
         box = cfg.domain_box()
         if box is None or not box.is_bounded():
             raise ConfigError("exact distances need a bounded domain")
-        if box.dim != model.d:
-            raise ConfigError(
-                f"domain has dimension {box.dim}, model has {model.d}"
-            )
+        _check_dim(box, model)
         rho = _get_number(metric, "metric", "rho")
         tol = float(metric.get("tol", 1e-9))
-        try:
-            distances = exact_distances(model, box, rho, tol=tol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        distances = exact_distances(model, box, rho, tol=tol)
         payload = {
             "format_version": REPORT_FORMAT_VERSION,
             "command": "evaluate",
@@ -383,17 +363,12 @@ def cmd_evaluate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             )
         values = []
         for p_path, q_path in zip(p_paths, q_paths):
-            p_full = p_path if os.path.isabs(p_path) else os.path.join(args.out, p_path)
-            q_full = q_path if os.path.isabs(q_path) else os.path.join(args.out, q_path)
             try:
-                P = read_samples_csv(p_full)
-                Q = read_samples_csv(q_full)
+                P = read_samples_csv(_resolve(args.out, p_path))
+                Q = read_samples_csv(_resolve(args.out, q_path))
             except OSError as exc:
                 raise ConfigError(f"cannot read samples: {exc}") from None
-            try:
-                values.append(empirical_mmd(P, Q, eta))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            values.append(empirical_mmd(P, Q, eta))
         mean = float(np.mean(values))
         sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         _dump_json(report_path, {
@@ -413,95 +388,6 @@ def cmd_evaluate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     raise ConfigError("metric.name must be 'exact' or 'mmd'")
 
 
-def run_benchmark(
-    density: TargetDensity,
-    budgets: Sequence[int],
-    *,
-    methods: Sequence[str] = ("grid", "psd", "truth"),
-    n_samples: int = 10_000,
-    eta: float = 2.0,
-    repetitions: int = 5,
-    seed: int = 0,
-    fit_m: int = 50,
-    rho: float = 2.0**-6,
-    taus: Sequence[float] = (0.1, 0.2, 0.3, 0.5, 1.0, 2.0),
-    lams: Sequence[float] = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-3),
-) -> list[dict]:
-    """Budget sweep comparing samplers by MMD to ground-truth draws.
-
-    Methods: "psd" fits a rank-one model by holdout-selected ridge
-    regression on n density evaluations and samples it; "grid" builds
-    the histogram baseline on the same budget; "truth" draws fresh
-    samples from the exact target model, giving the sampling-noise
-    floor.  Each repetition compares against an independent reference
-    draw from the exact model.  Rows come back sorted by (method, n).
-    """
-    if density.exact_model is None:
-        raise ValueError(
-            f"benchmark needs a target with an exact model; "
-            f"{density.name!r} has none"
-        )
-    budgets = [int(n) for n in budgets]
-    if not budgets or not methods:
-        raise ValueError("need at least one budget and one method")
-    unknown = set(methods) - {"psd", "grid", "truth"}
-    if unknown:
-        raise ValueError(f"unknown benchmark methods: {sorted(unknown)}")
-    box = density.domain
-    truth_psd = density.exact_model.to_psd()
-
-    references = [
-        sample(
-            truth_psd,
-            box,
-            SamplerParams(rho=rho, n_samples=n_samples, seed=derive_seed(seed, 2, r)),
-        ).samples
-        for r in range(repetitions)
-    ]
-
-    rows = []
-    for i, method in enumerate(methods):
-        for j, n in enumerate(budgets):
-            values = []
-            for r in range(repetitions):
-                fit_seed = derive_seed(seed, 3, i, j, r, 0)
-                draw_seed = derive_seed(seed, 3, i, j, r, 1)
-                if method == "grid":
-                    grid = build_grid(density.pdf, box, n)
-                    draws = grid.sample(n_samples, draw_seed)
-                elif method == "psd":
-                    oracle = density.oracle("linear")
-                    fit_cfg = FitConfig(
-                        n=n, m=fit_m, tau=taus[0], lam=lams[0], seed=fit_seed
-                    )
-                    model, _ = fit_rank_one_holdout(oracle, fit_cfg, taus, lams)
-                    run = sample(
-                        model.to_psd(),
-                        box,
-                        SamplerParams(rho=rho, n_samples=n_samples, seed=draw_seed),
-                    )
-                    draws = run.samples
-                else:
-                    run = sample(
-                        truth_psd,
-                        box,
-                        SamplerParams(rho=rho, n_samples=n_samples, seed=draw_seed),
-                    )
-                    draws = run.samples
-                values.append(empirical_mmd(draws, references[r], eta))
-            mean = float(np.mean(values))
-            sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-            rows.append({
-                "method": method,
-                "n": n,
-                "mmd_mean": mean,
-                "mmd_sd": sd,
-                "values": values,
-            })
-    rows.sort(key=lambda row: (row["method"], row["n"]))
-    return rows
-
-
 def write_benchmark_csv(rows: Sequence[dict], path: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
@@ -513,34 +399,38 @@ def write_benchmark_csv(rows: Sequence[dict], path: str) -> None:
             )
 
 
+# optional benchmark config keys: run_benchmark keyword and conversion;
+# keys the config leaves out take run_benchmark's defaults
+_BENCHMARK_KEYS = {
+    "n_samples": ("n_samples", int),
+    "eta": ("eta", float),
+    "repetitions": ("repetitions", int),
+    "m": ("fit_m", int),
+    "rho": ("rho", float),
+    "taus": ("taus", None),
+    "lambdas": ("lams", None),
+}
+
+
 def cmd_benchmark(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     target = cfg.target()
     section = _section(cfg.benchmark, "benchmark")
     budgets = section.get("budgets")
     if not isinstance(budgets, list) or not budgets:
         raise ConfigError("benchmark.budgets must be a non-empty list")
-    methods = section.get("methods", ["grid", "psd", "truth"])
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError("benchmark.methods must be a non-empty list")
-    try:
-        rows = run_benchmark(
-            target,
-            budgets,
-            methods=methods,
-            n_samples=int(section.get("n_samples", 10_000)),
-            eta=float(section.get("eta", 2.0)),
-            repetitions=int(section.get("repetitions", 5)),
-            seed=args.seed,
-            fit_m=int(section.get("m", 50)),
-            rho=float(section.get("rho", 2.0**-6)),
-            taus=section.get("taus", [0.1, 0.2, 0.3, 0.5, 1.0, 2.0]),
-            lams=section.get("lambdas", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-3]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    kwargs = {}
+    if "methods" in section:
+        methods = section["methods"]
+        if not isinstance(methods, list) or not methods:
+            raise ConfigError("benchmark.methods must be a non-empty list")
+        kwargs["methods"] = methods
+    for key, (param, kind) in _BENCHMARK_KEYS.items():
+        if key in section:
+            kwargs[param] = section[key] if kind is None else kind(section[key])
+    rows = run_benchmark(target, budgets, seed=args.seed, **kwargs)
 
-    table_path = _resolve(args.out, cfg.paths, "table", "benchmark.csv")
-    report_path = _resolve(args.out, cfg.paths, "report", "benchmark_report.json")
+    table_path = _config_path(args, cfg, "table", "benchmark.csv")
+    report_path = _config_path(args, cfg, "report", "benchmark_report.json")
     write_benchmark_csv(rows, table_path)
     _dump_json(report_path, {
         "format_version": REPORT_FORMAT_VERSION,
@@ -607,13 +497,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = ExperimentConfig.from_dict(_load_json(args.config))
         return args.handler(args, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except PsdSampleError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _RESIDUAL_RTOL = 1e-8
+# fit_psd stops once a step moves A by at most this, relative to 1 + |A|
+_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -210,10 +212,7 @@ def _solve_ridge(K_nm, K_mm, g_n, lam, n):
             M = M + jit_M * np.eye(m)
         try:
             cf = scipy.linalg.cho_factor(M, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            last_exc = exc
-            continue
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             last_exc = exc
             continue
         a = scipy.linalg.cho_solve(cf, rhs)
@@ -274,9 +273,7 @@ def fit_rank_one_holdout(
     lams = [float(l) for l in lams]
     if not taus or not lams:
         raise ValueError("need at least one candidate tau and lambda")
-    rng = _rng(config.seed)
-    X_n = _uniform_in(rng, oracle.domain, config.n)
-    X_m = _uniform_in(rng, oracle.domain, config.m)
+    X_n, X_m = _draw_design(oracle, config, None, None)
     g_n = oracle(X_n)
     n_tr = config.n // 2
     if n_tr < config.m:
@@ -319,7 +316,6 @@ def fit_psd(
     config: FitConfig,
     *,
     max_iters: int = 2000,
-    step_tol: float = 1e-12,
     centers=None,
     design_points=None,
 ) -> tuple[GaussianPsdModel, FitReport]:
@@ -400,7 +396,7 @@ def fit_psd(
                 trace.append(obj_new)
             obj = obj_new
             step *= 1.2
-            if moved <= step_tol * (1.0 + float(np.linalg.norm(A))):
+            if moved <= _STEP_TOL * (1.0 + float(np.linalg.norm(A))):
                 converged = True
                 break
         return A, obj, trace, iters, converged
@@ -486,47 +482,28 @@ def theoretical_parameters(
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     mode_l = mode.lower()
+    if mode_l not in ("tv", "hellinger"):
+        raise ValueError("mode must be 'tv' or 'hellinger'")
     log_inv_eps = log(1.0 / epsilon) if epsilon < 1 else 0.0
+    tau = epsilon ** (-2.0 / beta)
+    nu = None
     if mode_l == "tv":
-        tau = epsilon ** (-2.0 / beta)
         lam = epsilon ** (2.0 + 2.0 * d / beta)
         n_lo = epsilon ** (-2.0 - d / beta) * log_inv_eps**d * log(2.0 / delta)
-        m_lo = (
-            epsilon ** (-d / beta)
-            * log_inv_eps**d
-            * log(1.0 / (epsilon * delta))
-        )
-        return ParameterSchedule(
-            mode="tv",
-            epsilon=float(epsilon),
-            d=int(d),
-            beta=float(beta),
-            delta=float(delta),
-            tau=float(tau),
-            lam=float(lam),
-            n_lower=float(n_lo),
-            m_lower=float(m_lo),
-        )
-    if mode_l == "hellinger":
-        tau = epsilon ** (-2.0 / beta)
+    else:
         lam = epsilon ** (2.0 + d / beta)
         nu = min(1.0, d / (2.0 * beta))
         n_lo = epsilon ** (-2.0 * nu) * log(8.0 / delta)
-        m_lo = (
-            epsilon ** (-d / beta)
-            * log_inv_eps**d
-            * log(1.0 / (epsilon * delta))
-        )
-        return ParameterSchedule(
-            mode="hellinger",
-            epsilon=float(epsilon),
-            d=int(d),
-            beta=float(beta),
-            delta=float(delta),
-            tau=float(tau),
-            lam=float(lam),
-            n_lower=float(n_lo),
-            m_lower=float(m_lo),
-            nu_tilde=float(nu),
-        )
-    raise ValueError("mode must be 'tv' or 'hellinger'")
+    m_lo = epsilon ** (-d / beta) * log_inv_eps**d * log(1.0 / (epsilon * delta))
+    return ParameterSchedule(
+        mode=mode_l,
+        epsilon=float(epsilon),
+        d=int(d),
+        beta=float(beta),
+        delta=float(delta),
+        tau=float(tau),
+        lam=float(lam),
+        n_lower=float(n_lo),
+        m_lower=float(m_lo),
+        nu_tilde=None if nu is None else float(nu),
+    )

@@ -65,18 +65,6 @@ class IntegralAccounting:
         self.erf_calls += other.erf_calls
 
 
-def _erf_subst(t: NDArray[np.float64]):
-    """erf with infinite entries substituted by their limits +-1."""
-    finite = np.isfinite(t)
-    if finite.all():
-        return _erf(t)
-    out = np.sign(t)  # fills +-1 at +-inf
-    idx = np.nonzero(finite.ravel())[0]
-    flat = out.ravel()
-    flat[idx] = _erf(t.ravel()[idx])
-    return out
-
-
 def integrate_boxes(
     model,
     lowers,
@@ -120,7 +108,7 @@ def integrate_boxes(
                 np.concatenate((lowers[start:stop, k], uppers[start:stop, k])),
                 return_inverse=True,
             )
-            rows = _erf_subst(s[k] * (edges[:, None] - mid[None, :, k]))
+            rows = _erf(s[k] * (edges[:, None] - mid[None, :, k]))
             acc *= rows[idx[b:]] - rows[idx[:b]]
         out[start:stop] = acc @ w
     if acct is not None:
@@ -164,8 +152,8 @@ def _quartic_erf_rows(mid, eta, box: HyperRectangle):
     for start in range(0, n_pairs, step):
         stop = min(n_pairs, start + step)
         centers = 0.5 * (mid[start:stop, None, :] + mid[None, :, :])  # (b, pairs, d)
-        erf_hi = _erf_subst(s * (box.upper - centers))
-        erf_lo = _erf_subst(s * (box.lower - centers))
+        erf_hi = _erf(s * (box.upper - centers))
+        erf_lo = _erf(s * (box.lower - centers))
         yield start, stop, (erf_hi - erf_lo).prod(axis=2)
 
 

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 _FLUSH = 1e-300
+# project_psd rejects inputs whose asymmetry exceeds this, relative to
+# the largest entry (at least 1)
+_ASYM_TOL = 1e-10
 
 
 def erf(x):
@@ -104,11 +107,11 @@ def kernel_matrix(eta, X, Y=None) -> NDArray[np.float64]:
     return K
 
 
-def project_psd(M, asym_tol: float = 1e-10) -> NDArray[np.float64]:
+def project_psd(M) -> NDArray[np.float64]:
     """Project a matrix onto the positive semidefinite cone.
 
     Eigenvalues are clipped at zero and the result re-symmetrized.
-    Inputs whose asymmetry exceeds ``asym_tol`` (relative to the largest
+    Inputs whose asymmetry exceeds ``_ASYM_TOL`` (relative to the largest
     entry) are rejected rather than silently symmetrized.
     """
     M = np.asarray(M, dtype=float)
@@ -117,7 +120,7 @@ def project_psd(M, asym_tol: float = 1e-10) -> NDArray[np.float64]:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
     scale = max(np.abs(M).max(), 1.0)
-    if np.abs(M - M.T).max() > asym_tol * scale:
+    if np.abs(M - M.T).max() > _ASYM_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     S = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(S)

@@ -30,6 +30,9 @@ __all__ = [
     "empirical_mmd",
 ]
 
+# dyadic_density refuses partitions with more leaves than this
+_LEAF_CAP = 2**24
+
 
 @dataclass(frozen=True)
 class DyadicDensity:
@@ -84,7 +87,6 @@ def dyadic_density(
     model,
     box: HyperRectangle,
     rho: float,
-    leaf_cap: int = 2**24,
     acct: IntegralAccounting | None = None,
 ) -> DyadicDensity:
     """Enumerate the sampler's leaves and their exact model masses."""
@@ -96,9 +98,9 @@ def dyadic_density(
         raise ValueError("rho must be a positive finite number")
     counts = halving_counts(box, rho)
     depth = int(counts.sum())
-    if depth > np.log2(leaf_cap):
+    if depth > np.log2(_LEAF_CAP):
         raise ResourceLimitError(
-            "partition would have 2^%d leaves (cap %d)" % (depth, leaf_cap)
+            "partition would have 2^%d leaves (cap %d)" % (depth, _LEAF_CAP)
         )
     lo = box.lower[None, :].copy()
     hi = box.upper[None, :].copy()

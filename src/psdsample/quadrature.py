@@ -17,34 +17,36 @@ from .exceptions import ResourceLimitError
 
 __all__ = ["adaptive_box_quadrature"]
 
+# one 12-point Gauss-Legendre rule per axis, computed once
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
 
-def _panel_estimates(fn, lo, hi, nodes, weights):
+
+def _tensor_rule(d: int):
+    """Points (12**d, d) and weights (12**d,) of the tensor rule on [-1, 1]^d."""
+    grids = np.meshgrid(*[_NODES] * d, indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    weights = np.prod(np.meshgrid(*[_WEIGHTS] * d, indexing="ij"), axis=0).ravel()
+    return points, weights
+
+
+_RULES = {d: _tensor_rule(d) for d in (1, 2)}
+
+
+def _panel_estimates(fn, lo, hi):
     """Tensor Gauss-Legendre estimate on each (lo, hi) panel."""
     P, d = lo.shape
-    p = nodes.size
-    if d == 1:
-        pts = 0.5 * (lo + hi)[:, None, :] + 0.5 * (hi - lo)[:, None, :] * nodes[
-            None, :, None
-        ]
-        vals = fn(pts.reshape(P * p, 1)).reshape(P, p)
-        return 0.5 * (hi - lo)[:, 0] * (vals @ weights)
-    if d == 2:
-        nx, ny = np.meshgrid(nodes, nodes, indexing="ij")
-        grid = np.stack([nx.ravel(), ny.ravel()], axis=1)  # (p*p, 2)
-        w2 = np.outer(weights, weights).ravel()
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        pts = c[:, None, :] + h[:, None, :] * grid[None, :, :]
-        vals = fn(pts.reshape(P * p * p, 2)).reshape(P, p * p)
-        return h[:, 0] * h[:, 1] * (vals @ w2)
-    raise ValueError("quadrature supports 1 or 2 dimensions")
+    points, w = _RULES[d]
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    pts = c[:, None, :] + h[:, None, :] * points[None, :, :]
+    vals = fn(pts.reshape(P * w.size, d)).reshape(P, w.size)
+    return np.prod(h, axis=1) * (vals @ w)
 
 
 def adaptive_box_quadrature(
     fn,
     box: HyperRectangle,
     tol_abs: float = 1e-9,
-    order: int = 12,
     max_panels: int = 500_000,
 ) -> float:
     """Integrate a vectorized function over a bounded 1D or 2D box.
@@ -55,23 +57,21 @@ def adaptive_box_quadrature(
     """
     if not box.is_bounded():
         raise ValueError("quadrature needs a bounded box")
-    d = box.dim
-    if d not in (1, 2):
+    if box.dim not in _RULES:
         raise ValueError("quadrature supports 1 or 2 dimensions")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
     vol_total = box.volume()
     if vol_total == 0.0:
         return 0.0
 
     lo = box.lower[None, :].copy()
     hi = box.upper[None, :].copy()
-    parent = _panel_estimates(fn, lo, hi, nodes, weights)
+    parent = _panel_estimates(fn, lo, hi)
     total = 0.0
     used = 1
     while lo.shape[0] > 0:
         l_hi, r_lo = bisect_longest(lo, hi)
-        est_l = _panel_estimates(fn, lo, l_hi, nodes, weights)
-        est_r = _panel_estimates(fn, r_lo, hi, nodes, weights)
+        est_l = _panel_estimates(fn, lo, l_hi)
+        est_r = _panel_estimates(fn, r_lo, hi)
         refined = est_l + est_r
         vol = np.prod(hi - lo, axis=1)
         done = np.abs(parent - refined) <= 0.5 * tol_abs * vol / vol_total

@@ -52,6 +52,11 @@ __all__ = [
     "write_samples_binary",
 ]
 
+# find_support gives up after this many doublings of its box
+_MAX_DOUBLINGS = 200
+# rows per block that write_samples_csv converts to Python floats
+_CSV_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class SamplerParams:
@@ -222,7 +227,6 @@ def adaptive_rho(model, box: HyperRectangle, epsilon: float, metric: str = "tv")
 def find_support(
     model,
     eps_mass: float,
-    max_doublings: int = 200,
     acct: IntegralAccounting | None = None,
 ) -> HyperRectangle:
     """Bounded box capturing at least ``1 - eps_mass`` of the total mass.
@@ -242,12 +246,12 @@ def find_support(
     if np.any(sides == 0.0):
         half = np.where(sides == 0.0, 1.0 / np.sqrt(2.0 * model.eta), 0.5 * sides)
         box = HyperRectangle(box.center - half, box.center + half)
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         if integrate(model, box, acct) / total >= 1.0 - eps_mass:
             return box
         box = box.double_size()
     raise ResourceLimitError(
-        "support search did not reach the mass target in %d doublings" % max_doublings
+        "support search did not reach the mass target in %d doublings" % _MAX_DOUBLINGS
     )
 
 
@@ -255,9 +259,12 @@ def write_samples_csv(samples, path) -> None:
     """Headerless CSV, one point per row, shortest round-trip decimals."""
     arr = np.atleast_2d(np.asarray(samples, dtype=float))
     with open(path, "w") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        # Python floats are made one block of rows at a time: a list of
+        # the whole array would take about 50 bytes per value on top of it
+        for start in range(0, arr.shape[0], _CSV_BLOCK_ROWS):
+            for row in arr[start : start + _CSV_BLOCK_ROWS].tolist():
+                fh.write(",".join(map(repr, row)))
+                fh.write("\n")
 
 
 def read_samples_csv(path) -> NDArray[np.float64]:

@@ -6,7 +6,12 @@ import pytest
 from psdsample.boxes import HyperRectangle
 from psdsample.cli import ExperimentConfig, ConfigError, derive_seed, main, run_benchmark
 from psdsample.densities import TargetDensity, get_density, register_density
-from psdsample.models import RankOneModel, load_model, save_model
+from psdsample.models import (
+    GaussianPsdModel,
+    RankOneModel,
+    load_model,
+    save_model,
+)
 
 
 def write_config(path, data):
@@ -374,3 +379,179 @@ def test_missing_or_invalid_config_file(tmp_path):
 def test_unknown_density_name(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", fit_config(density="missing"))
     assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+NAN_DENSITY = "nan-values-test"
+NO_SQRT_DENSITY = "no-sqrt-test"
+
+
+@pytest.fixture(scope="module")
+def error_densities():
+    for name, sqrt_pdf in (
+        (NAN_DENSITY, lambda p: np.full(p.shape[0], np.nan)),
+        (NO_SQRT_DENSITY, None),
+    ):
+        try:
+            register_density(
+                TargetDensity(
+                    name=name,
+                    domain=HyperRectangle([0.0], [1.0]),
+                    pdf=lambda p: np.full(p.shape[0], np.nan),
+                    sqrt_pdf=sqrt_pdf,
+                )
+            )
+        except ValueError:
+            pass  # already registered by an earlier test run in this process
+
+
+FIT = {"n": 20, "m": 3, "tau": 1.0, "lambda": 1e-6}
+DOMAIN_1D = {"lower": [-4.0], "upper": [4.0]}
+DOMAIN_2D = {"lower": [-4.0, 0.0], "upper": [4.0, 1.0]}
+DOMAIN_2D_OPEN = {"lower": [-4.0, 0.0], "upper": [4.0, float("inf")]}
+MISSING = (
+    "cannot load model {out}/missing.json: "
+    "[Errno 2] No such file or directory: '{out}/missing.json'"
+)
+
+# (argv, config, exit code, stderr line); {out} stands for the --out directory
+ERROR_CASES = {
+    "fit-psd-nan": (
+        ["fit", "--psd"], {"density": NAN_DENSITY, "fit": FIT},
+        2, "oracle returned non-finite values",
+    ),
+    "fit-nan": (
+        ["fit"], {"density": NAN_DENSITY, "fit": FIT},
+        2, "oracle returned non-finite values",
+    ),
+    "fit-no-sqrt": (
+        ["fit"], {"density": NO_SQRT_DENSITY, "fit": FIT},
+        2, f"target '{NO_SQRT_DENSITY}' has no signed square root",
+    ),
+    "sample-negative-eps": (
+        ["sample"], {"domain": DOMAIN_1D, "sampler": {"n_samples": 5, "eps": -1}},
+        2, "epsilon must be positive and finite",
+    ),
+    "sample-hellinger-full-model": (
+        ["sample", "--eps", "0.1", "--metric", "hellinger"],
+        {"domain": DOMAIN_1D, "sampler": {"n_samples": 5},
+         "paths": {"model": "full.json"}},
+        2, "hellinger leaf size needs a rank-one model",
+    ),
+    "sample-dimension": (
+        ["sample"], {"domain": DOMAIN_2D, "sampler": {"n_samples": 5, "rho": 0.5}},
+        2, "domain has dimension 2, model has 1",
+    ),
+    "sample-dimension-before-unbounded": (
+        ["sample"], {"domain": DOMAIN_2D_OPEN, "sampler": {"n_samples": 5, "rho": 0.5}},
+        2, "domain has dimension 2, model has 1",
+    ),
+    "sample-missing-model": (
+        ["sample"],
+        {"domain": DOMAIN_1D, "sampler": {"n_samples": 5, "rho": 0.5},
+         "paths": {"model": "missing.json"}},
+        2, MISSING,
+    ),
+    "evaluate-dimension": (
+        ["evaluate"], {"domain": DOMAIN_2D, "metric": {"name": "exact", "rho": 0.5}},
+        2, "domain has dimension 2, model has 1",
+    ),
+    "evaluate-unbounded-before-dimension": (
+        ["evaluate"],
+        {"domain": DOMAIN_2D_OPEN, "metric": {"name": "exact", "rho": 0.5}},
+        2, "exact distances need a bounded domain",
+    ),
+    "evaluate-missing-model": (
+        ["evaluate"],
+        {"domain": DOMAIN_1D, "metric": {"name": "exact", "rho": 0.5},
+         "paths": {"model": "missing.json"}},
+        2, MISSING,
+    ),
+    "evaluate-zero-rho": (
+        ["evaluate"], {"domain": DOMAIN_1D, "metric": {"name": "exact", "rho": 0}},
+        2, "rho must be a positive finite number",
+    ),
+    "evaluate-no-domain": (
+        ["evaluate"], {"metric": {"name": "exact", "rho": 0.5}},
+        2, "exact distances need a bounded domain",
+    ),
+    "mmd-negative-eta": (
+        ["evaluate"],
+        {"metric": {"name": "mmd", "eta": -1},
+         "paths": {"samples_p": "draws.csv", "samples_q": "draws.csv"}},
+        2, "eta must be positive and finite",
+    ),
+    "benchmark-unknown-method": (
+        ["benchmark"],
+        {"density": "squared-diff-5d",
+         "benchmark": {"budgets": [40], "methods": ["nope"]}},
+        2, "unknown benchmark methods: ['nope']",
+    ),
+    "benchmark-no-exact-model": (
+        ["benchmark"], {"density": "gaussian-well-1d", "benchmark": {"budgets": [40]}},
+        2, "benchmark needs a target with an exact model; 'gaussian-well-1d' has none",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_paths_print_one_line_and_exit_code(
+    case, tmp_path, capsys, error_densities
+):
+    argv, data, code, message = ERROR_CASES[case]
+    rank_one = RankOneModel(a=np.array([1.0]), X=np.array([[0.0]]), eta=np.array([1.0]))
+    save_model(rank_one.to_psd(), str(tmp_path / "model.json"))
+    full = GaussianPsdModel(
+        A=np.eye(2), X=np.array([[-1.0], [1.0]]), eta=np.array([1.0])
+    )
+    save_model(full, str(tmp_path / "full.json"))
+    (tmp_path / "draws.csv").write_text("0.0\n1.0\n")
+    cfg = write_config(tmp_path / "cfg.json", data)
+    capsys.readouterr()
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "config error: " + message.format(out=tmp_path) + "\n"
+    assert captured.out == ""
+
+
+def test_benchmark_passes_each_config_key_to_its_parameter(tmp_path, monkeypatch):
+    import psdsample.cli as cli
+
+    calls = []
+
+    def record(density, budgets, **kwargs):
+        calls.append((density.name, budgets, kwargs))
+        return []
+
+    monkeypatch.setattr(cli, "run_benchmark", record)
+    cfg = write_config(tmp_path / "b.json", {
+        "density": "squared-diff-5d",
+        "benchmark": {
+            "budgets": [60, 90],
+            "methods": ["truth", "psd"],
+            "n_samples": 150.0,
+            "eta": 3,
+            "repetitions": 2.0,
+            "m": 8.0,
+            "rho": 1,
+            "taus": [0.2, 0.5],
+            "lambdas": [1e-6],
+        },
+    })
+    argv = ["benchmark", "--config", cfg, "--seed", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    [(name, budgets, kwargs)] = calls
+    assert (name, budgets) == ("squared-diff-5d", [60, 90])
+    expected = {
+        "methods": (["truth", "psd"], list),
+        "n_samples": (150, int),
+        "eta": (3.0, float),
+        "repetitions": (2, int),
+        "seed": (4, int),
+        "fit_m": (8, int),
+        "rho": (1.0, float),
+        "taus": ([0.2, 0.5], list),
+        "lams": ([1e-6], list),
+    }
+    assert set(kwargs) == set(expected)
+    for key, (value, kind) in expected.items():
+        assert kwargs[key] == value and type(kwargs[key]) is kind, key
