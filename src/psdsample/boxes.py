@@ -4,9 +4,9 @@ Boxes are half-open, ``lower[k] <= x_k < upper[k]``, which is what lets a
 dyadic bisection partition a box without overlap or gaps.  Infinite
 endpoints are allowed; operations that need a bounded box say so.
 
-``bisect_longest`` is the one longest-side bisection the sampler, the
-leaf enumeration and the quadrature share, and ``halving_counts`` gives
-the depth it reaches per axis before every side is at most rho.
+``split_axes`` fixes the dyadic partition with leaf size rho, the axis
+each level halves, so that every leaf is a cell of one grid.  ``bisect``
+is the one bisection core the sampler and the quadrature share.
 """
 
 from __future__ import annotations
@@ -87,16 +87,14 @@ class HyperRectangle:
         return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
 
 
-def bisect_longest(lo, hi) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Bisect a batch of boxes along their longest sides.
+def bisect(lo, hi, axis) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Bisect a batch of boxes along ``axis``, one int or one per box.
 
-    ``lo`` and ``hi`` are (B, d) corner arrays.  Each box is split on its
-    longest side (lowest index on ties) at the floating-point average of
-    the endpoints, so repeated splits of a dyadic box stay exact.  Returns
-    ``(left_hi, right_lo)``: the left half is ``(lo, left_hi)`` and the
-    right half is ``(right_lo, hi)``.
+    ``lo`` and ``hi`` are (B, d) corner arrays.  Each box is split at the
+    floating-point average of its endpoints, so repeated splits of a
+    dyadic box stay exact.  Returns ``(left_hi, right_lo)``: the left half
+    is ``(lo, left_hi)`` and the right half is ``(right_lo, hi)``.
     """
-    axis = np.argmax(hi - lo, axis=1)
     rows = np.arange(lo.shape[0])
     mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
     left_hi = hi.copy()
@@ -106,21 +104,22 @@ def bisect_longest(lo, hi) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return left_hi, right_lo
 
 
-def halving_counts(box: HyperRectangle, rho: float) -> NDArray[np.int64]:
-    """Times each side must halve before it is at most rho.
+def split_axes(box: HyperRectangle, rho: float) -> NDArray[np.int64]:
+    """Axis halved at each level of the dyadic partition with leaf size rho.
 
-    Computed by the same repeated multiplication the recursion performs,
-    so the counts match the actual tree depth even when a side length
-    sits within rounding of a power of two times rho.
+    Each level halves the longest side (lowest index on ties) of the cell
+    shape all its boxes share, the box's sides times powers of one half,
+    until every side is at most rho; ``np.bincount`` of the schedule gives
+    the halvings per axis.  Midpoint rounding can leave an actual leaf
+    side a few ulps above rho.
     """
     if not box.is_bounded():
         raise ValueError("cannot count halvings of an unbounded box")
     if not rho > 0:
         raise ValueError("rho must be positive")
-    counts = np.zeros(box.dim, dtype=np.int64)
-    for k, length in enumerate(box.side_lengths):
-        s = float(length)
-        while s > rho:
-            s *= 0.5
-            counts[k] += 1
-    return counts
+    shape = box.side_lengths
+    axes = []
+    while shape.max() > rho:
+        axes.append(int(np.argmax(shape)))
+        shape[axes[-1]] *= 0.5
+    return np.array(axes, dtype=np.int64)

@@ -1,12 +1,13 @@
 """Distances between the model density and its sampled approximation.
 
-``dyadic_density`` enumerates the partition the sampler induces (every
-side of the box halved until no longer than rho, longest side first)
-and attaches the exact model mass to each leaf.  ``exact_distances``
-then measures total variation, Hellinger and, in one dimension, the
-first Wasserstein distance between the normalized model density and the
-piecewise-uniform leaf density, together with the a priori bounds that
-the leaf size guarantees.
+``dyadic_density`` enumerates the sampler's leaves, the cells of the
+``boxes.split_axes`` grid whose depth per axis is the halving count of
+the box side (row-major; midpoint rounding can leave a side a few ulps
+above rho), and attaches the exact model mass to each leaf.
+``exact_distances`` then measures total variation, Hellinger and, in one
+dimension, the first Wasserstein distance between the normalized model
+density and the piecewise-uniform leaf density, together with the a
+priori bounds that the leaf size guarantees.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .boxes import HyperRectangle, bisect_longest, halving_counts
+from .boxes import HyperRectangle, split_axes
 from .exceptions import EmptyMassError, ResourceLimitError
 from .integration import IntegralAccounting, integrate_boxes
 from .models import lipschitz_bounds
@@ -56,31 +57,39 @@ class DyadicDensity:
     def density_values(self, points) -> NDArray[np.float64]:
         """Density of the leaf distribution at the given points.
 
-        Points outside the box get 0.  Leaf lookup uses the per-axis
-        dyadic index, which matches the recursion's edges because those
-        are midpoint halvings of the same box.
+        Points outside the box get 0.  Each point's leaf is found per axis
+        among the grid edges the leaves were built from.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        counts = halving_counts(self.box, self.rho)
-        axis_bins = (2**counts).astype(np.int64)
-        widths = self.box.side_lengths / axis_bins
-        rel = (pts - self.box.lower) / widths
-        idx = np.floor(rel).astype(np.int64)
-        inside = np.all((idx >= 0) & (idx < axis_bins), axis=1)
-        idx = np.clip(idx, 0, axis_bins - 1)
-        flat = np.ravel_multi_index(idx.T, axis_bins)
-        # map row-major cell ids to the enumeration order of the leaves
-        leaf_idx = np.round(
-            (self.lower - self.box.lower) / widths
-        ).astype(np.int64)
-        order = np.ravel_multi_index(leaf_idx.T, axis_bins)
-        lookup = np.empty(int(np.prod(axis_bins)), dtype=np.int64)
-        lookup[order] = np.arange(self.leaf_count)
-        leaf_of_point = lookup[flat]
+        if pts.shape[1] != self.box.dim:
+            raise ValueError("point dimension mismatch")
+        edges = _axis_edges(self.box, split_axes(self.box, self.rho))
+        bins = [e.size - 1 for e in edges]
+        idx = np.array(
+            [np.searchsorted(e, x, side="right") - 1 for e, x in zip(edges, pts.T)]
+        )
+        inside = np.all((idx >= 0) & (idx < np.array(bins)[:, None]), axis=0)
+        leaf = np.ravel_multi_index(idx, bins, mode="clip")
         vols = np.prod(self.upper - self.lower, axis=1)
-        dens = self.probabilities[leaf_of_point] / vols[leaf_of_point]
+        dens = self.probabilities[leaf] / vols[leaf]
         dens[~inside] = 0.0
         return dens
+
+
+def _axis_edges(box: HyperRectangle, axes) -> list[NDArray[np.float64]]:
+    """Leaf edges per axis: each side halved at its midpoints as often as
+    the schedule ``axes`` names that axis, with the arithmetic of
+    ``boxes.bisect``, so the edges are exactly the sampler's."""
+    edges = []
+    for k, count in enumerate(np.bincount(axes, minlength=box.dim)):
+        e = np.array([box.lower[k], box.upper[k]])
+        for _ in range(count):
+            finer = np.empty(2 * e.size - 1)
+            finer[0::2] = e
+            finer[1::2] = 0.5 * (e[:-1] + e[1:])
+            e = finer
+        edges.append(e)
+    return edges
 
 
 def dyadic_density(
@@ -89,30 +98,22 @@ def dyadic_density(
     rho: float,
     acct: IntegralAccounting | None = None,
 ) -> DyadicDensity:
-    """Enumerate the sampler's leaves and their exact model masses."""
+    """Enumerate the sampler's leaves, row-major, and their exact model masses."""
     if box.dim != model.d:
         raise ValueError("box dimension does not match the model")
     if not box.is_bounded():
         raise ValueError("dyadic enumeration needs a bounded box")
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be a positive finite number")
-    counts = halving_counts(box, rho)
-    depth = int(counts.sum())
-    if depth > np.log2(_LEAF_CAP):
+    axes = split_axes(box, rho)
+    if axes.size > np.log2(_LEAF_CAP):
         raise ResourceLimitError(
-            "partition would have 2^%d leaves (cap %d)" % (depth, _LEAF_CAP)
+            "partition would have 2^%d leaves (cap %d)" % (axes.size, _LEAF_CAP)
         )
-    lo = box.lower[None, :].copy()
-    hi = box.upper[None, :].copy()
-    for _ in range(depth):
-        sides = hi - lo
-        split = np.any(sides > rho, axis=1)
-        if not np.any(split):
-            break
-        slo, shi = lo[split], hi[split]
-        l_hi, r_lo = bisect_longest(slo, shi)
-        lo = np.concatenate([lo[~split], slo, r_lo])
-        hi = np.concatenate([hi[~split], l_hi, shi])
+    edges = _axis_edges(box, axes)
+    cells = np.indices([e.size - 1 for e in edges]).reshape(box.dim, -1)
+    lo = np.stack([e[c] for e, c in zip(edges, cells)], axis=1)
+    hi = np.stack([e[c + 1] for e, c in zip(edges, cells)], axis=1)
     masses = integrate_boxes(model, lo, hi, acct)
     total = float(masses.sum())
     if total <= 0.0:
@@ -175,19 +176,17 @@ def exact_distances(
 
     w1 = None
     if box.dim == 1:
-        order = np.argsort(dd.lower[:, 0])
-        cum = np.concatenate(([0.0], np.cumsum(dd.probabilities[order])))
-        lo_sorted = dd.lower[order, 0]
-        level_sorted = levels[order]
+        # 1-D leaves are enumerated left to right
+        cum = np.concatenate(([0.0], np.cumsum(dd.probabilities)))
         a0 = float(box.lower[0])
         w1 = 0.0
         for j in range(dd.leaf_count):
-            leaf = HyperRectangle(dd.lower[order[j]], dd.upper[order[j]])
+            leaf = HyperRectangle(dd.lower[j], dd.upper[j])
 
             def gap(p, j=j):
                 x = p[:, 0]
                 F_model = _cdf_1d(model, a0, x) / I_tot
-                F_leaf = cum[j] + level_sorted[j] * (x - lo_sorted[j])
+                F_leaf = cum[j] + levels[j] * (x - dd.lower[j, 0])
                 return np.abs(F_model - F_leaf)
 
             w1 += adaptive_box_quadrature(gap, leaf, tol_abs=tol)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boxes import HyperRectangle, bisect_longest
+from .boxes import HyperRectangle, bisect
 from .exceptions import ResourceLimitError
 
 __all__ = ["adaptive_box_quadrature"]
@@ -59,6 +59,8 @@ def adaptive_box_quadrature(
         raise ValueError("quadrature needs a bounded box")
     if box.dim not in _RULES:
         raise ValueError("quadrature supports 1 or 2 dimensions")
+    if not (np.isfinite(tol_abs) and tol_abs > 0):
+        raise ValueError("quadrature tolerance must be positive and finite")
     vol_total = box.volume()
     if vol_total == 0.0:
         return 0.0
@@ -69,7 +71,7 @@ def adaptive_box_quadrature(
     total = 0.0
     used = 1
     while lo.shape[0] > 0:
-        l_hi, r_lo = bisect_longest(lo, hi)
+        l_hi, r_lo = bisect(lo, hi, np.argmax(hi - lo, axis=1))
         est_l = _panel_estimates(fn, lo, l_hi)
         est_r = _panel_estimates(fn, r_lo, hi)
         refined = est_l + est_r

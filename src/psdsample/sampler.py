@@ -1,12 +1,13 @@
 """Rejection-free i.i.d. sampling from a Gaussian PSD model on a box.
 
-The sampler bisects the box along its longest side (lowest index on
-ties, ``boxes.bisect_longest``), splits the requested sample count
-between the halves with an exact binomial draw on the mass ratio, and
-recurses until every side is at most ``rho``; inside such a leaf, points
-are uniform.  A final random
-permutation makes the output exchangeable, so the N points are i.i.d.
-from the piecewise-uniform density the leaves define.
+The sampler halves every box of a level on the axis ``boxes.split_axes``
+names for that level and splits the sample count between the halves
+with an exact binomial draw on the mass ratio.  A leaf is a cell of the
+grid whose depth per axis is the halving count of the box side to rho
+(``metrics.dyadic_density`` lists them row-major; midpoint rounding can
+leave a side a few ulps above rho); inside it, points are uniform.  A
+final random permutation makes the output exchangeable, so the N points
+are i.i.d. from the piecewise-uniform density the leaves define.
 
 Each visited internal node costs exactly one box integral: the left
 child is integrated, the right child's mass is the difference.  With
@@ -34,7 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.stats import binom
 
-from .boxes import HyperRectangle, bisect_longest, halving_counts
+from .boxes import HyperRectangle, bisect, split_axes
 from .exceptions import EmptyMassError, ResourceLimitError, UnboundedDomainError
 from .integration import IntegralAccounting, integrate, integrate_boxes
 from .models import lipschitz_bounds
@@ -113,8 +114,8 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
 
     Raises ``UnboundedDomainError`` for an unbounded box (run
     ``find_support`` first) and ``EmptyMassError`` when the model's mass
-    on the box is zero.  Subregions whose mass underflows to zero are
-    filled uniformly instead of recursing further.
+    on the box is zero.  Leaves are the cells of the ``split_axes`` grid,
+    but a box whose mass underflows to zero is filled as a leaf.
     """
     if box.dim != model.d:
         raise ValueError("box dimension does not match the model")
@@ -136,7 +137,7 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
         raise EmptyMassError("model has zero mass on the requested box")
 
     rho = float(params.rho)
-    max_levels = int(halving_counts(box, rho).sum()) + 1
+    axes = split_axes(box, rho)
 
     lo = box.lower[None, :].copy()
     hi = box.upper[None, :].copy()
@@ -144,11 +145,8 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
     cnt = np.array([n_total], dtype=np.int64)
     off = np.zeros(1, dtype=np.int64)
 
-    for _ in range(max_levels + 1):
-        if lo.shape[0] == 0:
-            break
-        sides = hi - lo
-        fill = np.all(sides <= rho, axis=1) | (mass <= 0.0)
+    for level in range(axes.size + 1):
+        fill = (mass <= 0.0) | (level == axes.size)
 
         if np.any(fill):
             idx = np.nonzero(fill)[0]
@@ -156,7 +154,7 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
             total = int(counts_f.sum())
             u = rng.random((total, d))
             rep_lo = np.repeat(lo[idx], counts_f, axis=0)
-            rep_side = np.repeat(sides[idx], counts_f, axis=0)
+            rep_side = np.repeat(hi[idx] - lo[idx], counts_f, axis=0)
             starts = np.concatenate(([0], np.cumsum(counts_f)[:-1]))
             dest = np.repeat(off[idx] - starts, counts_f) + np.arange(total)
             out[dest] = rep_lo + u * rep_side
@@ -170,7 +168,7 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
         imass = mass[keep]
         icnt = cnt[keep]
         ioff = off[keep]
-        left_hi, right_lo = bisect_longest(ilo, ihi)
+        left_hi, right_lo = bisect(ilo, ihi, axes[level])
 
         left_mass = integrate_boxes(model, ilo, left_hi, acct)
         np.minimum(left_mass, imass, out=left_mass)
@@ -184,8 +182,6 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
         mass = np.concatenate([left_mass[take_l], right_mass[take_r]])
         cnt = np.concatenate([k[take_l], (icnt - k)[take_r]])
         off = np.concatenate([ioff[take_l], (ioff + k)[take_r]])
-    else:
-        raise ResourceLimitError("bisection exceeded its depth budget")
 
     out = out[rng.permutation(n_total)]
     return SampleRun(out, acct, rho, leaf_count)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdsample.boxes import HyperRectangle, bisect_longest, halving_counts
+from psdsample.boxes import HyperRectangle, bisect, split_axes
 from psdsample.integration import integrate_boxes
 from psdsample.metrics import dyadic_density
 from psdsample.models import RankOneModel
+from psdsample.sampler import SamplerParams, sample
 
 
 def box(lo, hi):
@@ -15,7 +16,8 @@ def box(lo, hi):
 
 def split(b):
     """Halves of one box through the batched bisection."""
-    left_hi, right_lo = bisect_longest(b.lower[None, :], b.upper[None, :])
+    lo, hi = b.lower[None, :], b.upper[None, :]
+    left_hi, right_lo = bisect(lo, hi, np.argmax(hi - lo, axis=1))
     return HyperRectangle(b.lower, left_hi[0]), HyperRectangle(right_lo[0], b.upper)
 
 
@@ -94,13 +96,13 @@ def test_repeated_splits_reach_leaf_size():
 
 def test_halving_counts_rejects_unbounded_box():
     with pytest.raises(ValueError, match="unbounded"):
-        halving_counts(HyperRectangle(np.array([0.0]), np.array([np.inf])), 0.1)
+        split_axes(HyperRectangle(np.array([0.0]), np.array([np.inf])), 0.1)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.5, np.nan])
 def test_halving_counts_rejects_nonpositive_rho(rho):
     with pytest.raises(ValueError, match="rho"):
-        halving_counts(box([0.0], [1.0]), rho)
+        split_axes(box([0.0], [1.0]), rho)
 
 
 @st.composite
@@ -120,7 +122,7 @@ def dyadic_boxes(draw, d):
 def test_bisect_longest_halves_one_axis_and_keeps_volume(boxes):
     lo = np.array([b.lower for b in boxes])
     hi = np.array([b.upper for b in boxes])
-    left_hi, right_lo = bisect_longest(lo, hi)
+    left_hi, right_lo = bisect(lo, hi, np.argmax(hi - lo, axis=1))
     for b, lh, rl in zip(boxes, left_hi, right_lo):
         sides = b.side_lengths.tolist()
         axis = sides.index(max(sides))  # lowest index on ties
@@ -138,11 +140,11 @@ def test_repeated_bisection_matches_the_sampler_leaves(b, rho_exp):
     rho = 2.0**rho_exp * float(b.side_lengths.min())
     lo, hi = b.lower[None, :], b.upper[None, :]
     while np.any(hi - lo > rho):
-        left_hi, right_lo = bisect_longest(lo, hi)
+        left_hi, right_lo = bisect(lo, hi, np.argmax(hi - lo, axis=1))
         lo = np.concatenate([lo, right_lo])
         hi = np.concatenate([left_hi, hi])
-    # exact dyadic grid: halving_counts halvings per axis
-    cells = 2.0 ** halving_counts(b, rho)
+    # exact dyadic grid: the schedule's halvings per axis
+    cells = 2.0 ** np.bincount(split_axes(b, rho), minlength=b.dim)
     width = b.side_lengths / cells
     assert np.all(hi - lo == width)
     idx = (lo - b.lower) / width
@@ -158,3 +160,39 @@ def test_repeated_bisection_matches_the_sampler_leaves(b, rho_exp):
     assert np.array_equal(dd.upper[dd_order], hi[order])
     masses = integrate_boxes(model, lo[order], hi[order])
     assert np.array_equal(dd.masses[dd_order], masses)
+
+
+@st.composite
+def decimal_boxes(draw, d):
+    """Boxes with one-decimal corners, whose sides and midpoints round, and
+    a two-decimal rho that can sit within rounding of a side's halving."""
+    lo = np.array(draw(st.lists(st.integers(-30, 30), min_size=d, max_size=d)))
+    sides = np.array(draw(st.lists(st.integers(1, 20), min_size=d, max_size=d)))
+    rho = draw(st.integers(5, 60)) / 100
+    return HyperRectangle(lo / 10, (lo + sides) / 10), rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2).flatmap(decimal_boxes))
+def test_decimal_boxes_give_one_leaf_grid(case):
+    b, rho = case
+    axes = split_axes(b, rho)
+    model = RankOneModel(a=np.ones(1), X=b.center[None, :], eta=np.ones(b.dim))
+    dd = dyadic_density(model, b, rho)
+    assert dd.leaf_count == 2**axes.size
+    bins = 2 ** np.bincount(axes, minlength=b.dim)
+    lower = dd.lower.reshape(*bins, b.dim)
+    upper = dd.upper.reshape(*bins, b.dim)
+    for k in range(b.dim):
+        # row-major leaves: axis k's edges vary along grid axis k only
+        lo_k = np.moveaxis(lower[..., k], k, -1).reshape(-1, bins[k])
+        hi_k = np.moveaxis(upper[..., k], k, -1).reshape(-1, bins[k])
+        assert np.all(lo_k == lo_k[0]) and np.all(hi_k == hi_k[0])
+        assert lo_k[0, 0] == b.lower[k] and hi_k[0, -1] == b.upper[k]
+        assert np.array_equal(hi_k[0, :-1], lo_k[0, 1:])
+    vols = np.prod(dd.upper - dd.lower, axis=1)
+    centres = 0.5 * (dd.lower + dd.upper)
+    assert np.array_equal(dd.density_values(centres), dd.probabilities / vols)
+    run = sample(model, b, SamplerParams(rho=rho, n_samples=200, seed=0))
+    assert b.contains(run.samples).all()
+    assert run.leaf_count <= dd.leaf_count

@@ -470,6 +470,14 @@ ERROR_CASES = {
         ["evaluate"], {"domain": DOMAIN_1D, "metric": {"name": "exact", "rho": 0}},
         2, "rho must be a positive finite number",
     ),
+    **{
+        f"evaluate-tol-{tol}": (
+            ["evaluate"],
+            {"domain": DOMAIN_1D, "metric": {"name": "exact", "rho": 0.5, "tol": tol}},
+            2, "quadrature tolerance must be positive and finite",
+        )
+        for tol in (0, -1, float("nan"))
+    },
     "evaluate-no-domain": (
         ["evaluate"], {"metric": {"name": "exact", "rho": 0.5}},
         2, "exact distances need a bounded domain",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psdsample import integration
-from psdsample.boxes import HyperRectangle, bisect_longest
+from psdsample.boxes import HyperRectangle, bisect
 from psdsample.exceptions import ResourceLimitError
 from psdsample.integration import (
     IntegralAccounting,
@@ -105,7 +105,7 @@ def test_batch_matches_single_box_calls(monkeypatch):
     los, his = [], []
     for _ in range(4):
         # each box's left half, then its right half
-        left_hi, right_lo = bisect_longest(lo, hi)
+        left_hi, right_lo = bisect(lo, hi, np.argmax(hi - lo, axis=1))
         lo = np.stack([lo, right_lo], axis=1).reshape(-1, 3)
         hi = np.stack([left_hi, hi], axis=1).reshape(-1, 3)
         los.append(lo)
@@ -137,7 +137,8 @@ def test_batch_matches_single_box_calls(monkeypatch):
 def test_additivity_under_box_split():
     model = random_model(9, d=2, m=4)
     box = HyperRectangle(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    left_hi, right_lo = bisect_longest(box.lower[None, :], box.upper[None, :])
+    lo, hi = box.lower[None, :], box.upper[None, :]
+    left_hi, right_lo = bisect(lo, hi, np.argmax(hi - lo, axis=1))
     left = HyperRectangle(box.lower, left_hi[0])
     right = HyperRectangle(right_lo[0], box.upper)
     whole = integrate(model, box)

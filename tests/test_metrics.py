@@ -61,6 +61,19 @@ def test_density_values_integrate_to_one():
     assert np.isclose(total, 1.0, atol=1e-12)
 
 
+def test_decimal_box_has_the_grid_leaves_and_their_levels():
+    # -2.4 - (-3.0) rounds above 0.6, so the side halves twice at rho 0.3
+    # even though the midpoint -2.7 leaves a left half below rho
+    model = RankOneModel(a=np.ones(1), X=np.array([[-2.7]]), eta=np.ones(1))
+    box = HyperRectangle([-3.0], [-2.4])
+    dd = dyadic_density(model, box, rho=0.3)
+    assert dd.leaf_count == 4
+    assert dd.lower[0, 0] == -3.0 and dd.upper[-1, 0] == -2.4
+    assert np.array_equal(dd.upper[:-1], dd.lower[1:])
+    levels = dd.probabilities / np.prod(dd.upper - dd.lower, axis=1)
+    assert np.array_equal(dd.density_values(0.5 * (dd.lower + dd.upper)), levels)
+
+
 def test_dyadic_density_validation():
     model = two_bump_1d()
     box = HyperRectangle([-1.0], [1.0])

@@ -65,3 +65,11 @@ def test_rejects_unsupported_dimension_and_unbounded():
         adaptive_box_quadrature(
             lambda p: np.ones(p.shape[0]), HyperRectangle.whole_space(1)
         )
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_rejects_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        adaptive_box_quadrature(
+            lambda p: np.ones(p.shape[0]), HyperRectangle([0.0], [1.0]), tol_abs=tol
+        )

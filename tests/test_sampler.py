@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psdsample.boxes import HyperRectangle, halving_counts
+from psdsample.boxes import HyperRectangle, split_axes
 from psdsample.exceptions import EmptyMassError, UnboundedDomainError
 from psdsample.integration import IntegralAccounting, integrate, integrate_boxes
 from psdsample.models import GaussianPsdModel, RankOneModel
@@ -36,10 +36,11 @@ def two_center_model():
 
 def test_halving_counts_examples():
     box = HyperRectangle(np.array([0.0, 0.0]), np.array([1.0, 4.0]))
-    counts = halving_counts(box, 0.5)
-    assert counts.tolist() == [1, 3]
-    already = halving_counts(HyperRectangle(np.array([0.0]), np.array([0.25])), 0.5)
-    assert already.tolist() == [0]
+    axes = split_axes(box, 0.5)
+    assert axes.tolist() == [1, 1, 0, 1]
+    assert np.bincount(axes, minlength=2).tolist() == [1, 3]
+    already = split_axes(HyperRectangle(np.array([0.0]), np.array([0.25])), 0.5)
+    assert np.bincount(already, minlength=1).tolist() == [0]
 
 
 def test_integral_budget_formula():
