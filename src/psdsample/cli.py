@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -25,13 +26,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import metrics
 from .boxes import HyperRectangle
 from .densities import TargetDensity, get_density, list_densities
 from .estimator import FitConfig, fit_psd, fit_rank_one, fit_rank_one_holdout
 from .exceptions import PsdSampleError
 from .experiment import derive_seed, run_benchmark
 from .integration import integrate
-from .metrics import empirical_mmd, exact_distances
+from .metrics import exact_distances
 from .models import load_model, save_model
 from .sampler import (
     SamplerParams,
@@ -361,14 +363,23 @@ def cmd_evaluate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
                 "paths.samples_p and paths.samples_q must have equal length "
                 "(or one of them length 1)"
             )
-        values = []
-        for p_path, q_path in zip(p_paths, q_paths):
+
+        # a file named by several repetitions is read and self-summed once
+        @functools.cache
+        def read(path):
             try:
-                P = read_samples_csv(_resolve(args.out, p_path))
-                Q = read_samples_csv(_resolve(args.out, q_path))
+                return read_samples_csv(_resolve(args.out, path))
             except OSError as exc:
                 raise ConfigError(f"cannot read samples: {exc}") from None
-            values.append(empirical_mmd(P, Q, eta))
+
+        @functools.cache
+        def self_sum(path):
+            return metrics._self_sum(read(path), eta)
+
+        values = []
+        for p_path, q_path in zip(p_paths, q_paths):
+            P, Q = read(p_path), read(q_path)
+            values.append(metrics._mmd(P, Q, eta, self_sum(p_path), self_sum(q_path)))
         mean = float(np.mean(values))
         sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         _dump_json(report_path, {

@@ -97,10 +97,16 @@ def integrate_boxes(
     n_pairs = mid.shape[0]
     out = np.empty(B)
     step = max(1, _CHUNK_ELEMS // max(1, n_pairs))
+    # One set of chunk buffers per call, filled in place: fresh multi-MB
+    # temporaries for every chunk cost a page fault per 4 KB page.  The
+    # indices are in range, and take's default mode="raise" would copy
+    # through a temporary.
+    bufs = np.empty((3, min(step, B) * n_pairs))
     for start in range(0, B, step):
         stop = min(B, start + step)
         b = stop - start
-        acc = np.ones((b, n_pairs))
+        acc, upper, lower = (buf[: b * n_pairs].reshape(b, n_pairs) for buf in bufs)
+        acc.fill(1.0)
         for k in range(d):
             # Bisected boxes share few distinct edges per axis, so erf is
             # evaluated once per distinct edge and gathered per box.
@@ -109,7 +115,10 @@ def integrate_boxes(
                 return_inverse=True,
             )
             rows = _erf(s[k] * (edges[:, None] - mid[None, :, k]))
-            acc *= rows[idx[b:]] - rows[idx[:b]]
+            np.take(rows, idx[b:], axis=0, out=upper, mode="clip")
+            np.take(rows, idx[:b], axis=0, out=lower, mode="clip")
+            np.subtract(upper, lower, out=upper)
+            acc *= upper
         out[start:stop] = acc @ w
     if acct is not None:
         # The counter reports the closed form's term count: one erf per

@@ -56,3 +56,13 @@ def outside_mass(model, box, reach=8.0, panels=24, order=16):
         model.evaluate, box.lower, box.upper, panels=panels, order=order
     )
     return max(total - inner, 0.0)
+
+
+def pairwise_kernel_sum(X, Y, eta):
+    """Sum of exp(-eta * ||x - y||^2) over all row pairs, from the differences."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    total = 0.0
+    for x in X:
+        total += float(np.exp(-eta * np.sum((Y - x) ** 2, axis=1)).sum())
+    return total

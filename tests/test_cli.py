@@ -6,6 +6,7 @@ import pytest
 from psdsample.boxes import HyperRectangle
 from psdsample.cli import ExperimentConfig, ConfigError, derive_seed, main, run_benchmark
 from psdsample.densities import TargetDensity, get_density, register_density
+from psdsample.metrics import empirical_mmd
 from psdsample.models import (
     GaussianPsdModel,
     RankOneModel,
@@ -318,6 +319,37 @@ def test_evaluate_mmd_broadcasts_singleton(tmp_path):
     assert np.isclose(report["mean"], np.mean(report["values"]))
 
 
+def test_evaluate_mmd_reads_and_self_sums_a_shared_file_once(tmp_path, monkeypatch):
+    import psdsample.cli as cli
+
+    reads, sums = [], []
+    read_csv, self_sum = cli.read_samples_csv, cli.metrics._self_sum
+
+    def counted_read(path):
+        reads.append(path)
+        return read_csv(path)
+
+    def counted_sum(X, eta):
+        sums.append(X)
+        return self_sum(X, eta)
+
+    monkeypatch.setattr(cli, "read_samples_csv", counted_read)
+    monkeypatch.setattr(cli.metrics, "_self_sum", counted_sum)
+    for i in range(3):
+        (tmp_path / f"p{i}.csv").write_text(f"{0.1 * i}\n1.0\n2.0\n")
+    (tmp_path / "q.csv").write_text("0.5\n1.5\n")
+    eval_cfg = write_config(tmp_path / "e.json", {
+        "metric": {"name": "mmd", "eta": 1.0},
+        "paths": {"samples_p": ["p0.csv", "p1.csv", "p2.csv"], "samples_q": "q.csv"},
+    })
+    assert main(["evaluate", "--config", eval_cfg, "--out", str(tmp_path)]) == 0
+    assert len(reads) == 4 and len(sums) == 4
+    report = json.loads((tmp_path / "evaluate_report.json").read_text())
+    q = np.array([[0.5], [1.5]])
+    want = [empirical_mmd(np.array([[0.1 * i], [1.0], [2.0]]), q, 1.0) for i in range(3)]
+    assert np.allclose(report["values"], want, rtol=1e-12, atol=0.0)
+
+
 def test_evaluate_rejects_unknown_metric(tmp_path):
     cfg = write_config(tmp_path / "e.json", {"metric": {"name": "ks"}})
     assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -488,6 +520,12 @@ ERROR_CASES = {
          "paths": {"samples_p": "draws.csv", "samples_q": "draws.csv"}},
         2, "eta must be positive and finite",
     ),
+    "mmd-non-finite": (
+        ["evaluate"],
+        {"metric": {"name": "mmd", "eta": 1.0},
+         "paths": {"samples_p": "draws.csv", "samples_q": "nonfinite.csv"}},
+        2, "sample sets must be finite",
+    ),
     "benchmark-unknown-method": (
         ["benchmark"],
         {"density": "squared-diff-5d",
@@ -513,6 +551,7 @@ def test_error_paths_print_one_line_and_exit_code(
     )
     save_model(full, str(tmp_path / "full.json"))
     (tmp_path / "draws.csv").write_text("0.0\n1.0\n")
+    (tmp_path / "nonfinite.csv").write_text("0.0\nnan\n")
     cfg = write_config(tmp_path / "cfg.json", data)
     capsys.readouterr()
     assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == code

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
-from oracles import gl_box_integral
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import gl_box_integral, pairwise_kernel_sum
 
+from psdsample import metrics
 from psdsample.boxes import HyperRectangle
 from psdsample.exceptions import EmptyMassError, ResourceLimitError
 from psdsample.integration import integrate
@@ -193,3 +196,46 @@ def test_mmd_validation():
         empirical_mmd(P, np.zeros((0, 2)), eta=1.0)
     with pytest.raises(ValueError):
         empirical_mmd(P, P, eta=0.0)
+
+
+BLOCK = metrics._BLOCK_ROWS
+BLOCK_EDGES = st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5), BLOCK_EDGES, BLOCK_EDGES,
+    st.floats(0.1, 5.0), st.integers(0, 2**32 - 1),
+)
+def test_kernel_sums_match_pairwise_oracle(d, n, m, eta, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(n, d))
+    Y = rng.uniform(-2.0, 2.0, size=(m, d))
+    cross = metrics._kernel_sum(X, Y, eta)
+    assert np.isclose(cross, pairwise_kernel_sum(X, Y, eta), rtol=1e-12, atol=0.0)
+    self_sum = metrics._self_sum(X, eta)
+    assert np.isclose(self_sum, pairwise_kernel_sum(X, X, eta), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, d", [(1000, 3), (290, 5), (378, 4), (169, 5), (310, 2)])
+def test_mmd_identical_sets_across_blocks_is_zero(n, d):
+    X = np.random.default_rng(n).normal(size=(n, d))
+    assert empirical_mmd(X, X, eta=1.0) == 0.0
+    assert empirical_mmd(X, X.copy(), eta=0.3) == 0.0
+
+
+def test_mmd_huge_eta_does_not_overflow():
+    P = np.full((3, 2), 0.0)
+    Q = np.ones((3, 2))
+    assert empirical_mmd(P, Q, 1e308) == 1.4142135623730951
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mmd_rejects_non_finite_samples(bad):
+    P = np.zeros((3, 2))
+    Q = np.ones((3, 2))
+    Q[1, 0] = bad
+    with pytest.raises(ValueError, match="sample sets must be finite"):
+        empirical_mmd(P, Q, 1.0)
+    with pytest.raises(ValueError, match="sample sets must be finite"):
+        empirical_mmd(Q, P, 1.0)
