@@ -132,7 +132,7 @@ class GaussianPsdModel:
         if pts.shape[1] != self.d:
             raise ValueError("points must have dimension %d" % self.d)
         V = kernel_matrix(self.eta, pts, self.X)  # (n, m)
-        vals = np.einsum("ni,ij,nj->n", V, self.A, V)
+        vals = np.einsum("nj,nj->n", V @ self.A, V)
         np.maximum(vals, 0.0, out=vals)
         return float(vals[0]) if single else vals
 

@@ -1,24 +1,29 @@
-"""Panel-adaptive Gauss-Legendre quadrature over small boxes.
+"""Panel-adaptive Gauss-Legendre quadrature over batches of small boxes.
 
-Used by the distance computations, which need thousands of independent
-low-dimensional integrals with vectorized integrands; calling a
-scalar-callback routine per leaf would dominate the runtime.  Panels are
-bisected along their longest side until the discrepancy between a
-panel's estimate and the sum over its halves falls under the panel's
-share of the absolute tolerance.
+The distance computations integrate a few integrands over each of
+thousands of low-dimensional leaves, so one adaptive pass runs all
+leaves' panels and evaluates every integrand at the same nodes.  Panels
+are bisected along their longest side until, per integrand, a panel's
+estimate and the sum over its halves differ by less than its volume's
+share of its own box's absolute tolerance; a panel stays open while any
+integrand fails it, and each integrand keeps the first estimate it passes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boxes import HyperRectangle, bisect
+from .boxes import bisect
 from .exceptions import ResourceLimitError
 
 __all__ = ["adaptive_box_quadrature"]
 
 # one 12-point Gauss-Legendre rule per axis, computed once
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+# most points per integrand call, so the integrand's temporaries do not
+# grow with the number of boxes
+_BLOCK_POINTS = 2**15
 
 
 def _tensor_rule(d: int):
@@ -33,59 +38,71 @@ _RULES = {d: _tensor_rule(d) for d in (1, 2)}
 
 
 def _panel_estimates(fn, lo, hi):
-    """Tensor Gauss-Legendre estimate on each (lo, hi) panel."""
+    """Tensor Gauss-Legendre estimate on each (lo, hi) panel, of shape
+    (P,) plus the shape of one point's integrand values."""
     P, d = lo.shape
     points, w = _RULES[d]
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    pts = c[:, None, :] + h[:, None, :] * points[None, :, :]
-    vals = fn(pts.reshape(P * w.size, d)).reshape(P, w.size)
-    return np.prod(h, axis=1) * (vals @ w)
+    step = max(1, _BLOCK_POINTS // w.size)
+    out = []
+    for s in range(0, P, step):
+        c = 0.5 * (lo[s : s + step] + hi[s : s + step])
+        h = 0.5 * (hi[s : s + step] - lo[s : s + step])
+        pts = c[:, None, :] + h[:, None, :] * points[None, :, :]
+        vals = fn(pts.reshape(-1, d))
+        vals = vals.reshape(c.shape[0], w.size, *vals.shape[1:])
+        out.append(np.einsum("pn,pn...->p...", np.prod(h, axis=1)[:, None] * w, vals))
+    return np.concatenate(out)
 
 
 def adaptive_box_quadrature(
-    fn,
-    box: HyperRectangle,
-    tol_abs: float = 1e-9,
-    max_panels: int = 500_000,
-) -> float:
-    """Integrate a vectorized function over a bounded 1D or 2D box.
+    fn, lower, upper, tol_abs: float = 1e-9, max_panels: int = 500_000
+):
+    """Integrate a vectorized function over each of a batch of 1D or 2D boxes.
 
-    ``fn`` maps an (n, d) array of points to n values.  The absolute
-    error target is split across panels in proportion to volume; the
-    returned value is the sum of accepted refined estimates.
+    ``lower`` and ``upper`` are (L, d) corner arrays, or (d,) for one box.
+    ``fn`` maps an (n, d) array of points to n values, or to (n, k) values
+    of k integrands.  Each box gets the absolute error target ``tol_abs``
+    and at most ``max_panels`` panels.  Returns the integrals as (L,) or
+    (L, k), without the leading axis for one box.
     """
-    if not box.is_bounded():
+    lo = np.atleast_2d(np.asarray(lower, dtype=float))
+    hi = np.atleast_2d(np.asarray(upper, dtype=float))
+    if lo.shape != hi.shape or np.any(lo > hi):
+        raise ValueError("corner arrays must match, with lower <= upper")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("quadrature needs a bounded box")
-    if box.dim not in _RULES:
+    if lo.shape[1] not in _RULES:
         raise ValueError("quadrature supports 1 or 2 dimensions")
     if not (np.isfinite(tol_abs) and tol_abs > 0):
         raise ValueError("quadrature tolerance must be positive and finite")
-    vol_total = box.volume()
-    if vol_total == 0.0:
-        return 0.0
 
-    lo = box.lower[None, :].copy()
-    hi = box.upper[None, :].copy()
-    parent = _panel_estimates(fn, lo, hi)
-    total = 0.0
-    used = 1
-    while lo.shape[0] > 0:
+    L = lo.shape[0]
+    first = _panel_estimates(fn, lo, hi)
+    cell_vol = np.prod(hi - lo, axis=1)
+    # open panels, their boxes and which integrands still need them;
+    # degenerate boxes integrate to 0
+    cells = np.flatnonzero(cell_vol > 0.0)
+    lo, hi, parent = lo[cells], hi[cells], first.reshape(L, -1)[cells]
+    live = np.ones(parent.shape, dtype=bool)
+    total = np.zeros((L, parent.shape[1]))
+    used = np.ones(L, dtype=np.int64)
+    while cells.size > 0:
+        share = 0.5 * tol_abs * np.prod(hi - lo, axis=1) / cell_vol[cells]
         l_hi, r_lo = bisect(lo, hi, np.argmax(hi - lo, axis=1))
-        est_l = _panel_estimates(fn, lo, l_hi)
-        est_r = _panel_estimates(fn, r_lo, hi)
-        refined = est_l + est_r
-        vol = np.prod(hi - lo, axis=1)
-        done = np.abs(parent - refined) <= 0.5 * tol_abs * vol / vol_total
-        total += float(refined[done].sum())
-        keep = ~done
-        lo = np.concatenate([lo[keep], r_lo[keep]])
-        hi = np.concatenate([l_hi[keep], hi[keep]])
-        parent = np.concatenate([est_l[keep], est_r[keep]])
-        used += 2 * int(keep.sum())
-        if used > max_panels:
+        lo, hi = np.concatenate([lo, r_lo]), np.concatenate([l_hi, hi])
+        est = _panel_estimates(fn, lo, hi).reshape(lo.shape[0], -1)
+        refined = est[: cells.size] + est[cells.size :]
+        passed = np.abs(parent - refined) <= share[:, None]
+        np.add.at(total, cells, np.where(live & passed, refined, 0.0))
+        live &= ~passed
+        keep = np.tile(live.any(axis=1), 2)
+        cells, lo, hi = np.tile(cells, 2)[keep], lo[keep], hi[keep]
+        parent, live = est[keep], np.tile(live, (2, 1))[keep]
+        used += np.bincount(cells, minlength=L)
+        if used.max() > max_panels:
             raise ResourceLimitError(
-                "quadrature exceeded %d panels; integrand is too rough "
-                "for the requested tolerance" % max_panels
+                "quadrature exceeded %d panels in one box; integrand is too "
+                "rough for the requested tolerance" % max_panels
             )
-    return total
+    total = total.reshape(first.shape)
+    return total[0] if np.ndim(lower) == 1 else total

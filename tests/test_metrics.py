@@ -133,6 +133,23 @@ def test_exact_distances_shrink_with_rho():
     assert fine.w1 < coarse.w1
 
 
+def test_exact_distances_evaluate_the_model_in_few_batched_calls(monkeypatch):
+    model = two_bump_1d()
+    calls = []
+    evaluate = RankOneModel.evaluate
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(RankOneModel, "evaluate", counted)
+    report = exact_distances(model, HyperRectangle([-1.0], [1.0]), rho=2.0**-4)
+    assert report.leaf_count == 32
+    # one pass feeds TV, Hellinger and W1 from each evaluation of all leaves'
+    # open panels, so there are fewer evaluations than leaves
+    assert 0 < len(calls) < report.leaf_count
+
+
 def test_exact_distances_2d_has_no_w1():
     model = RankOneModel(
         a=np.array([1.0]), X=np.array([[0.0, 0.0]]), eta=np.array([1.0, 1.0])

@@ -1,12 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import binom
 
+import psdsample
 from psdsample.boxes import HyperRectangle, split_axes
 from psdsample.exceptions import EmptyMassError, UnboundedDomainError
 from psdsample.integration import IntegralAccounting, integrate, integrate_boxes
 from psdsample.models import GaussianPsdModel, RankOneModel
 from psdsample.sampler import (
     SamplerParams,
+    _binom_ppf,
+    _binomial_inversion,
     adaptive_rho,
     find_support,
     integral_budget,
@@ -236,3 +245,32 @@ def test_binary_round_trip(tmp_path):
     write_samples_binary(pts, path)
     back = read_samples_binary(path, dim=2)
     assert np.array_equal(back, pts)
+
+
+
+def test_binomial_inversion_matches_scipy_stats_binom_ppf():
+    # the sampler calls binom.ppf's private ufunc; pin it to the public
+    # quantile, with q in {0, 1, 1e-300}, u = 0 and n up to 1e6 included
+    rng = np.random.default_rng(5)
+    size = 200_000
+    n = rng.integers(0, 10 ** rng.integers(1, 7, size))
+    q = rng.random(size) ** rng.integers(1, 20, size)
+    q[:3000] = rng.choice([0.0, 1.0, 1e-300], 3000)
+    u = np.random.default_rng(6).random(size)
+    expected = np.clip(binom.ppf(u, n, q), 0, n).astype(np.int64)
+    got = _binomial_inversion(np.random.default_rng(6), n, q)
+    assert np.array_equal(got, expected)
+    zero = np.zeros(size)
+    assert np.array_equal(
+        np.clip(_binom_ppf(zero, n, q), 0, n), np.clip(binom.ppf(zero, n, q), 0, n)
+    )
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = str(Path(psdsample.__file__).resolve().parents[1])
+    code = "import sys, psdsample.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
