@@ -32,9 +32,10 @@ from .integration import (
     integrate,
     integrate_boxes,
     integrate_squared,
+    pair_gram,
     quartic_gram,
 )
-from .kernels import erf, gaussian_kernel, kernel_matrix, project_psd
+from .kernels import gaussian_kernel, kernel_matrix, project_psd
 from .metrics import (
     DistanceReport,
     DyadicDensity,
@@ -60,10 +61,8 @@ from .sampler import (
     adaptive_rho,
     find_support,
     integral_budget,
-    read_samples_binary,
     read_samples_csv,
     sample,
-    write_samples_binary,
     write_samples_csv,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "build_grid",
     "dyadic_density",
     "empirical_mmd",
-    "erf",
     "exact_distances",
     "find_support",
     "fit_psd",
@@ -115,15 +113,14 @@ __all__ = [
     "make_potential_density",
     "model_from_dict",
     "model_to_dict",
+    "pair_gram",
     "project_psd",
     "quartic_gram",
-    "read_samples_binary",
     "read_samples_csv",
     "register_density",
     "sample",
     "save_model",
     "tail_box",
     "theoretical_parameters",
-    "write_samples_binary",
     "write_samples_csv",
 ]

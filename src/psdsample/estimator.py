@@ -15,10 +15,14 @@ Two regimes:
       integral of f(x; A)^2 over the domain
       - 2 sum_i f_p(x_i) f(x_i; A) + lambda ||K^{1/2} A K^{1/2}||_F^2
 
-  over PSD matrices A by projected gradient descent with backtracking,
-  warm-started at the projected unconstrained minimizer.  The data term
-  is the plain sum over evaluation points (no 1/n), so the fitted scale
-  grows with n; densities are renormalized downstream anyway.
+  over PSD matrices A by monotone FISTA (MFISTA, Beck & Teboulle 2009)
+  with the fixed step 1/L, from whichever of the projected unconstrained
+  minimizer and A = 0 has the lower objective.  The quadratic lives in
+  the m(m+1)/2 unique-pair coordinates of the symmetric A, and one
+  product with its matrix per iteration gives both the objective and the
+  gradient.  The data term is the plain sum over evaluation points (no
+  1/n), so the fitted scale grows with n; densities are renormalized
+  downstream anyway.
 
 Both fits draw their design uniformly on the oracle's box from a
 counter-based stream seeded by the config (evaluation points first,
@@ -38,7 +42,8 @@ from numpy.typing import NDArray
 
 from .boxes import HyperRectangle
 from .exceptions import ConvergenceWarning, IllConditionedError
-from .integration import quartic_gram
+# quartic_gram stays importable here for tools that wrap it by this name
+from .integration import pair_gram, quartic_gram  # noqa: F401
 from .kernels import kernel_matrix, project_psd
 from .models import GaussianPsdModel, RankOneModel
 
@@ -54,8 +59,15 @@ __all__ = [
 ]
 
 _RESIDUAL_RTOL = 1e-8
-# fit_psd stops once a step moves A by at most this, relative to 1 + |A|
-_STEP_TOL = 1e-12
+# fit_psd stops once the norm of the gradient mapping is at most this,
+# relative to the norm of the gradient at A = 0
+_GRAD_TOL = 1e-9
+# power iteration for the step: at most this many products, stopping
+# once the Rayleigh quotient moves by at most the relative tolerance;
+# the margin covers the distance left to the top eigenvalue
+_POWER_ITERS = 100
+_POWER_RTOL = 1e-6
+_POWER_MARGIN = 1.01
 
 
 @dataclass(frozen=True)
@@ -146,6 +158,8 @@ class FitReport:
     converged: bool = True
     objective_trace: list[float] = field(default_factory=list)
     holdout: list[dict] = field(default_factory=list)
+    start: str | None = None
+    gradient_mapping: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -159,6 +173,8 @@ class FitReport:
             "converged": self.converged,
             "objective_trace": self.objective_trace,
             "holdout": self.holdout,
+            "start": self.start,
+            "gradient_mapping": self.gradient_mapping,
         }
 
 
@@ -311,6 +327,27 @@ def fit_rank_one_holdout(
     return model, report
 
 
+def _top_eigenvalue(apply, mult) -> float:
+    """Largest eigenvalue, with a margin, of a PSD operator that is
+    self-adjoint in the inner product sum(mult * u * v).
+
+    Power iteration from the all-ones vector, which overlaps the leading
+    eigenvector of the operators here, since their entries are
+    nonnegative.  The Rayleigh quotient approaches the eigenvalue from
+    below, hence the margin.
+    """
+    v = np.ones(mult.size)
+    rq = 0.0
+    for _ in range(_POWER_ITERS):
+        v = v / np.sqrt(np.sum(mult * v * v))
+        hv = apply(v)
+        rq_new = float(np.sum(mult * v * hv))
+        if abs(rq_new - rq) <= _POWER_RTOL * rq_new:
+            break
+        rq, v = rq_new, hv
+    return _POWER_MARGIN * rq_new
+
+
 def fit_psd(
     oracle: EvaluationOracle,
     config: FitConfig,
@@ -319,14 +356,16 @@ def fit_psd(
     centers=None,
     design_points=None,
 ) -> tuple[GaussianPsdModel, FitReport]:
-    """Projected gradient fit of a full PSD coefficient matrix.
+    """Monotone FISTA fit of a full PSD coefficient matrix.
 
-    The oracle must be of kind "nonnegative".  The objective trace in
-    the report is monotone; hitting ``max_iters`` emits a
-    ``ConvergenceWarning`` and marks the report not converged.  A descent
-    from the warm start that ends above 0, the objective of A = 0, is
-    replaced by the descent from A = 0, whose trace and iterations the
-    report then holds.
+    The oracle must be of kind "nonnegative".  The descent starts from
+    whichever of the projected warm start and A = 0 has the lower
+    objective (``report.start``), and runs MFISTA with the fixed step
+    1/L, keeping the best iterate, so the objective trace in the report
+    is monotone.  It stops once the gradient mapping falls to
+    ``_GRAD_TOL`` times the gradient at A = 0; hitting ``max_iters``
+    instead emits a ``ConvergenceWarning`` and marks the report not
+    converged.
     """
     if oracle.kind != "nonnegative":
         raise ValueError("fit_psd needs a nonnegative oracle")
@@ -341,83 +380,91 @@ def fit_psd(
     K_mm = kernel_matrix(eta, X_m)
     C = K_nm.T @ (f_n[:, None] * K_nm)  # sum_i f_i v_i v_i^T
     C = 0.5 * (C + C.T)
-    G = quartic_gram(X_m, eta, oracle.domain)
 
-    def quad_part(A):
-        vec = A.ravel()
-        KAK = K_mm @ A @ K_mm
-        return float(vec @ G @ vec) + lam * float(np.sum(KAK * A))
+    # Unique-pair coordinates: a = A[iu, ju], and a Frobenius product of
+    # symmetric matrices is sum(mult * a * b).  H (m(m+1)/2 square) holds
+    # the quadratic part in these coordinates: the Gram of the squared
+    # model plus lambda (K (x) K), symmetrized over (i, j) <-> (j, i).
+    iu, ju = np.triu_indices(m)
+    mult = np.where(iu == ju, 1.0, 2.0)
+    H = pair_gram(X_m, eta, oracle.domain)
+    Ki, Kj = K_mm[iu], K_mm[ju]
+    H += (0.5 * lam) * (Ki[:, iu] * Kj[:, ju] + Ki[:, ju] * Kj[:, iu])
+    c = C[iu, ju]
 
-    def objective(A):
-        return quad_part(A) - 2.0 * float(np.sum(C * A))
+    def to_matrix(a):
+        A = np.empty((m, m))
+        A[iu, ju] = a
+        A[ju, iu] = a
+        return A
 
-    def gradient(A):
-        GA = (G @ A.ravel()).reshape(m, m)
-        KAK = K_mm @ A @ K_mm
-        g = 2.0 * GA - 2.0 * C + 2.0 * lam * KAK
-        return 0.5 * (g + g.T)
+    def apply_h(a):
+        # the quadratic part as an operator on symmetric matrices; the
+        # gradient of the objective is 2 (apply_h(a) - c)
+        return H @ (mult * a)
+
+    def objective(a, ha):
+        # <A, H A> - 2 <C, A> from ha = apply_h(a)
+        return float(np.sum(mult * a * (ha - 2.0 * c)))
 
     # warm start: projected unconstrained minimizer of the quadratic
-    H = G + lam * np.kron(K_mm, K_mm)
     try:
-        A0 = np.linalg.solve(H, C.ravel()).reshape(m, m)
-        A = project_psd(0.5 * (A0 + A0.T))
+        a0 = np.linalg.solve(H, c) / mult
+        warm = project_psd(to_matrix(a0))[iu, ju]
     except np.linalg.LinAlgError:
-        A = np.zeros((m, m))
+        warm = np.zeros(iu.size)
+    h_warm = apply_h(warm)
+    start = "warm" if objective(warm, h_warm) < 0.0 else "zero"
+    if start == "warm":
+        x, hx = warm, h_warm
+    else:
+        x, hx = np.zeros(iu.size), np.zeros(iu.size)
 
-    def descend(A):
-        obj = objective(A)
-        trace = [obj]
-        step = 1.0
-        iters = 0
-        converged = False
-        for iters in range(1, max_iters + 1):
-            g = gradient(A)
-            accepted = False
-            for _ in range(60):
-                A_new = project_psd(A - step * g)
-                delta = A_new - A
-                dn2 = float(np.sum(delta * delta))
-                if dn2 == 0.0:
-                    accepted = True
-                    A_new = A
-                    obj_new = obj
-                    break
-                obj_new = objective(A_new)
-                if obj_new <= obj + float(np.sum(g * delta)) + dn2 / (2.0 * step):
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            moved = float(np.linalg.norm(A_new - A))
-            A = A_new
-            if obj_new < obj:
-                trace.append(obj_new)
-            obj = obj_new
-            step *= 1.2
-            if moved <= _STEP_TOL * (1.0 + float(np.linalg.norm(A))):
-                converged = True
-                break
-        return A, obj, trace, iters, converged
-
-    A, obj, trace, iters, converged = descend(A)
-    if obj > 0.0:
-        # An ill-conditioned warm start can trap the descent above the
-        # objective of A = 0, which is 0; start over from there.
-        A, obj, trace, iters, converged = descend(np.zeros((m, m)))
+    # MFISTA (Beck & Teboulle 2009).  The gradient 2 (H a - c) is affine,
+    # so at the extrapolated point y it is the same combination of the
+    # products at z, x and the previous x: one product per iteration.
+    L = 2.0 * _top_eigenvalue(apply_h, mult)
+    grad0 = 2.0 * float(np.sqrt(np.sum(mult * c * c)))
+    obj = objective(x, hx)
+    trace = [obj]
+    y, hy = x, hx
+    t = 1.0
+    iters = 0
+    gmap = 0.0
+    converged = grad0 == 0.0  # C = 0: A = 0 is the minimizer
+    if not converged and L == 0.0:
+        raise IllConditionedError("the squared model's Gram vanishes on the domain")
+    while not converged and iters < max_iters:
+        iters += 1
+        z = project_psd(to_matrix(y - (2.0 / L) * (hy - c)))[iu, ju]
+        diff = y - z
+        gmap = L * float(np.sqrt(np.sum(mult * diff * diff))) / grad0
+        hz = apply_h(z)
+        obj_z = objective(z, hz)
+        x_prev, hx_prev = x, hx
+        if obj_z < obj:
+            x, hx, obj = z, hz, obj_z
+            trace.append(obj)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        alpha, beta = t / t_next, (t - 1.0) / t_next
+        y = x + alpha * (z - x) + beta * (x - x_prev)
+        hy = hx + alpha * (hz - hx) + beta * (hx - hx_prev)
+        t = t_next
+        converged = gmap <= _GRAD_TOL
     if not converged:
         warnings.warn(
-            "projected gradient stopped after %d iterations" % iters,
+            "MFISTA stopped after %d iterations" % iters,
             ConvergenceWarning,
         )
-    model = GaussianPsdModel(A=A, X=X_m, eta=eta, repair=True)
+    model = GaussianPsdModel(A=to_matrix(x), X=X_m, eta=eta, repair=True)
     report = FitReport(
         kind="psd",
         config=config.to_dict(),
         iterations=iters,
         converged=converged,
         objective_trace=trace,
+        start=start,
+        gradient_mapping=gmap,
     )
     return model, report
 

@@ -16,9 +16,13 @@ so each unique pair is evaluated once, and a batch of boxes evaluates erf
 once per distinct edge per axis, which bisected boxes share heavily.
 
 A rank-one model is integrated through its cached full form
-(``RankOneModel.to_psd``).  ``quartic_gram`` and ``integrate_squared``
-share one row-chunked erf loop for the squared model and one check of
-its pair-product cap.
+(``RankOneModel.to_psd``).  The squared model has one Gram builder: a
+row-chunked loop over the unique-pair midpoints that yields rows of
+c * k_eta(mid_p, mid_q) times a k_{4 eta} erf product, whose erf
+differences go through erfc where both bounds lie in one tail.
+``integrate_squared`` reduces each chunk with the model's pair weights,
+``pair_gram`` folds in the k_{eta/2}(x_i, x_j) factors for the PSD fit,
+and ``quartic_gram`` expands that to the full (m^2, m^2) tensor by index.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 from scipy.special import erf as _erf
+from scipy.special import erfc as _erfc
 
 from .boxes import HyperRectangle
 from .exceptions import ResourceLimitError
@@ -39,6 +44,7 @@ __all__ = [
     "integrate",
     "integrate_boxes",
     "integrate_squared",
+    "pair_gram",
     "quartic_gram",
 ]
 
@@ -148,22 +154,79 @@ def _check_pair_cap(n_pairs: int, pair_cap: float) -> None:
         )
 
 
-def _quartic_erf_rows(mid, eta, box: HyperRectangle):
-    """Row chunks of the quartic erf products over a box.
+def _erf_diff(hi, lo):
+    """erf(hi) - erf(lo) for arrays hi >= lo, accurate in the tails.
 
-    Yields ``(start, stop, J)`` with J[p - start, q] the product over
-    axes of the k_{4 eta} Gaussian integral, without its constant, at the
-    average of pair midpoints p and q.
+    With erf(x) = sign(x) (1 - erfc(|x|)), the constant parts cancel
+    exactly when both arguments share a sign, so a box far from the
+    centers keeps its relative accuracy where the plain difference of
+    two erf values rounding to +-1 would give 0.  Works in place: the
+    result is returned in ``lo``, and ``hi`` is overwritten.
+    """
+    s_hi, s_lo = np.sign(hi), np.sign(lo)
+    for x, sign in ((hi, s_hi), (lo, s_lo)):
+        np.abs(x, out=x)
+        _erfc(x, out=x)
+        x *= sign
+    lo -= hi
+    s_hi -= s_lo
+    lo += s_hi
+    return lo
+
+
+def _pair_gram_rows(mid, eta, box: HyperRectangle):
+    """Row chunks of the pair Gram of the squared model over a box.
+
+    ``mid`` holds the pair midpoints.  Yields ``(start, stop, rows)``
+    with rows[p - start, q] the integral over the box of
+    k_{2 eta}(x, mid_p) k_{2 eta}(x, mid_q): collapsing the two midpoints
+    leaves c * k_eta(mid_p, mid_q) times the product over axes of the
+    k_{4 eta} Gaussian integral at their average.
     """
     n_pairs, d = mid.shape
     s = np.sqrt(4.0 * eta)
+    c = float(np.prod(np.sqrt(np.pi) / (2.0 * s)))
     step = max(1, _CHUNK_ELEMS // max(1, n_pairs * d))
     for start in range(0, n_pairs, step):
         stop = min(n_pairs, start + step)
         centers = 0.5 * (mid[start:stop, None, :] + mid[None, :, :])  # (b, pairs, d)
-        erf_hi = _erf(s * (box.upper - centers))
-        erf_lo = _erf(s * (box.lower - centers))
-        yield start, stop, (erf_hi - erf_lo).prod(axis=2)
+        rows = _erf_diff(s * (box.upper - centers), s * (box.lower - centers)).prod(axis=2)
+        rows *= c * kernel_matrix(eta, mid[start:stop], mid)
+        yield start, stop, rows
+
+
+def pair_gram(X, eta, box: HyperRectangle, pair_cap: float = 1e8) -> NDArray[np.float64]:
+    """Gram matrix of the squared model over the unique center pairs.
+
+    Pairs p = (i, j) with i <= j run in ``np.triu_indices(m)`` order.
+    Entry (p, q), with q = (k, l), is the integral over the box of
+
+        k_eta(x, x_i) k_eta(x, x_j) k_eta(x, x_k) k_eta(x, x_l),
+
+    which does not change when i and j (or k and l) swap.  So for a
+    symmetric A, with a = A[i, j] and mult = 1 on the diagonal and 2
+    elsewhere, (mult a)^T G_s (mult a) integrates the squared model.
+    The result is an (m(m+1)/2, m(m+1)/2) symmetric PSD matrix.
+
+    Raises ``ResourceLimitError`` when the (m(m+1)/2)^2 pair products
+    exceed ``pair_cap``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    eta = np.asarray(eta, dtype=float)
+    m, d = X.shape
+    if box.dim != d:
+        raise ValueError("box dimension does not match the centers")
+    iu, ju = np.triu_indices(m)
+    _check_pair_cap(iu.size, pair_cap)
+    mid = 0.5 * (X[iu] + X[ju])
+    # k_eta(x, x_i) k_eta(x, x_j) = k_{eta/2}(x_i, x_j) k_{2 eta}(x, mid)
+    K_half = kernel_matrix(0.5 * eta, X)[iu, ju]
+    G = np.empty((iu.size, iu.size))
+    for start, stop, rows in _pair_gram_rows(mid, eta, box):
+        G[start:stop] = rows
+    G *= K_half[:, None]
+    G *= K_half[None, :]
+    return 0.5 * (G + G.T)
 
 
 def quartic_gram(
@@ -182,30 +245,24 @@ def quartic_gram(
     Collapsing pairs to midpoints twice leaves a single k_{4 eta} kernel,
     so each entry is again an erf product.  The result is an
     (m^2, m^2) symmetric PSD matrix; for any coefficient matrix A,
-    vec(A)^T G vec(A) integrates the squared model.
+    vec(A)^T G vec(A) integrates the squared model.  It is ``pair_gram``
+    expanded by index, since swapping i and j leaves each entry unchanged.
 
     Raises ``ResourceLimitError`` when the m^4 pair products exceed
     ``pair_cap``; at that size a Monte Carlo estimate of the squared
     integral is the sane alternative.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    eta = np.asarray(eta, dtype=float)
     m, d = X.shape
-    n_pairs = m * m
-    _check_pair_cap(n_pairs, pair_cap)
+    _check_pair_cap(m * m, pair_cap)
     if box.dim != d:
         raise ValueError("box dimension does not match the centers")
-
-    K_half = kernel_matrix(0.5 * eta, X).ravel()  # (m^2,)
-    mid = 0.5 * (X[:, None, :] + X[None, :, :]).reshape(n_pairs, d)
-    K_mid = kernel_matrix(eta, mid)  # (m^2, m^2)
-    c = float(np.prod(np.sqrt(np.pi) / (2.0 * np.sqrt(4.0 * eta))))
-
-    J = np.empty((n_pairs, n_pairs))
-    for start, stop, rows in _quartic_erf_rows(mid, eta, box):
-        J[start:stop] = rows
-    G = np.outer(K_half, K_half) * K_mid * (c * J)
-    return 0.5 * (G + G.T)
+    # index of the unique pair (min(i, j), max(i, j)) for every (i, j)
+    pair = np.empty((m, m), dtype=np.intp)
+    iu, ju = np.triu_indices(m)
+    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
+    rep = pair.ravel()
+    return pair_gram(X, eta, box, pair_cap)[np.ix_(rep, rep)]
 
 
 def integrate_squared(model, box: HyperRectangle, pair_cap: float = 1e8) -> float:
@@ -220,9 +277,7 @@ def integrate_squared(model, box: HyperRectangle, pair_cap: float = 1e8) -> floa
     if box.dim != model.d:
         raise ValueError("box dimension does not match the model")
     _check_pair_cap(mid.shape[0], pair_cap)
-    c = float(np.prod(np.sqrt(np.pi) / (2.0 * np.sqrt(4.0 * model.eta))))
     total = 0.0
-    for start, stop, J in _quartic_erf_rows(mid, model.eta, box):
-        K_rows = kernel_matrix(model.eta, mid[start:stop], mid)
-        total += float(w[start:stop] @ ((K_rows * J) @ w))
-    return max(c * total, 0.0)
+    for start, stop, rows in _pair_gram_rows(mid, model.eta, box):
+        total += float(w[start:stop] @ (rows @ w))
+    return max(total, 0.0)

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import erf as _erf
 
 __all__ = [
-    "erf",
     "gaussian_kernel",
     "kernel_matrix",
     "project_psd",
@@ -27,15 +25,6 @@ _FLUSH = 1e-300
 # project_psd rejects inputs whose asymmetry exceeds this, relative to
 # the largest entry (at least 1)
 _ASYM_TOL = 1e-10
-
-
-def erf(x):
-    """Gauss error function, elementwise.
-
-    Wraps the C implementation from scipy; absolute error is below
-    1e-14 everywhere and ``erf(+-inf) == +-1`` exactly.
-    """
-    return _erf(x)
 
 
 def validate_precisions(eta) -> NDArray[np.float64]:

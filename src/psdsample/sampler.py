@@ -49,9 +49,7 @@ __all__ = [
     "find_support",
     "integral_budget",
     "read_samples_csv",
-    "read_samples_binary",
     "write_samples_csv",
-    "write_samples_binary",
 ]
 
 # find_support gives up after this many doublings of its box
@@ -266,17 +264,3 @@ def write_samples_csv(samples, path) -> None:
 
 def read_samples_csv(path) -> NDArray[np.float64]:
     return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
-def write_samples_binary(samples, path) -> None:
-    """Raw little-endian float64, row-major, no header."""
-    arr = np.ascontiguousarray(np.atleast_2d(np.asarray(samples, dtype=float)))
-    with open(path, "wb") as fh:
-        fh.write(arr.astype("<f8").tobytes())
-
-
-def read_samples_binary(path, dim: int) -> NDArray[np.float64]:
-    raw = np.fromfile(path, dtype="<f8")
-    if dim <= 0 or raw.size % dim != 0:
-        raise ValueError("file size is not a multiple of the dimension")
-    return raw.reshape(-1, dim)

@@ -180,6 +180,24 @@ def test_psd_fit_never_ends_above_the_zero_matrix():
     assert all(a >= b for a, b in zip(trace, trace[1:]))
 
 
+@pytest.mark.filterwarnings("ignore::psdsample.exceptions.ConvergenceWarning")
+def test_psd_fit_starts_from_zero_when_the_warm_start_is_worse():
+    # one descent from A = 0, not a hidden restart after a stalled one;
+    # -657621 is where a backtracking descent restarted from A = 0 ends
+    # after 2000 iterations
+    oracle = get_density("double-well-1d").oracle("nonnegative")
+    cfg = FitConfig(n=4000, m=20, tau=1.0, lam=1e-4, seed=4)
+    _, report = fit_psd(oracle, cfg)
+    trace = report.objective_trace
+    assert report.start == "zero"
+    assert trace[0] == 0.0
+    assert all(a >= b for a, b in zip(trace, trace[1:]))
+    assert trace[-1] <= -657621.0
+    doc = report.to_dict()
+    assert doc["start"] == "zero"
+    assert doc["gradient_mapping"] == report.gradient_mapping > 0.0
+
+
 def test_psd_fit_recovers_planted_model_on_grid():
     # same centers, dense midpoint design, tiny lambda: the fitted model
     # matches the planted one after normalization

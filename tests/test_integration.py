@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc
 
 from psdsample import integration
 from psdsample.boxes import HyperRectangle, bisect
@@ -9,6 +12,7 @@ from psdsample.integration import (
     integrate,
     integrate_boxes,
     integrate_squared,
+    pair_gram,
     quartic_gram,
 )
 from psdsample.models import GaussianPsdModel, RankOneModel
@@ -170,6 +174,15 @@ def test_integrate_squared_unit_model_frozen_value():
     assert np.isclose(val, np.sqrt(np.pi) / 2.0, rtol=1e-15)
 
 
+def test_integrate_squared_keeps_relative_accuracy_in_the_tails():
+    # integral of e^{-4x^2} over [3, 4] (and [-4, -3]) is
+    # sqrt(pi)/4 (erfc(6) - erfc(8)); erf(6) and erf(8) both round to 1
+    exact = np.sqrt(np.pi) / 4.0 * (erfc(6.0) - erfc(8.0))
+    for lo, hi in ((3.0, 4.0), (-4.0, -3.0)):
+        box = HyperRectangle(np.array([lo]), np.array([hi]))
+        assert np.isclose(integrate_squared(unit_model(), box), exact, rtol=1e-12)
+
+
 def test_integrate_squared_matches_gram_and_cubature():
     model = random_model(11, d=2, m=3)
     box = HyperRectangle(np.array([-2.0, -1.5]), np.array([1.0, 2.0]))
@@ -181,6 +194,28 @@ def test_integrate_squared_matches_gram_and_cubature():
     )
     assert np.isclose(direct, via_gram, rtol=1e-12)
     assert np.isclose(direct, oracle, rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_pair_gram_matches_quartic_gram_and_cubature(d, m, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(scale=1.1, size=(m, d))
+    eta = rng.uniform(0.4, 2.2, size=d)
+    lo = rng.uniform(-2.0, 0.0, size=d)
+    box = HyperRectangle(lo, lo + rng.uniform(0.5, 2.5, size=d))
+    B = rng.normal(size=(m, m))
+    A = B + B.T
+    iu, ju = np.triu_indices(m)
+    a = A[iu, ju] * np.where(iu == ju, 1.0, 2.0)
+    via_pairs = a @ pair_gram(X, eta, box) @ a
+    via_full = np.ravel(A) @ quartic_gram(X, eta, box) @ np.ravel(A)
+    assert np.isclose(via_pairs, via_full, rtol=1e-12, atol=0.0)
+    model = GaussianPsdModel(A=B @ B.T, X=X, eta=eta)
+    oracle = gl_box_integral(
+        lambda p: model.evaluate(p) ** 2, box.lower, box.upper, panels=4
+    )
+    assert np.isclose(integrate_squared(model, box), oracle, rtol=1e-9, atol=0.0)
 
 
 def test_quartic_gram_is_symmetric_psd():

@@ -19,10 +19,8 @@ from psdsample.sampler import (
     adaptive_rho,
     find_support,
     integral_budget,
-    read_samples_binary,
     read_samples_csv,
     sample,
-    write_samples_binary,
     write_samples_csv,
 )
 
@@ -236,16 +234,6 @@ def test_csv_single_row_keeps_2d_shape(tmp_path):
     write_samples_csv(np.array([[1.5, -2.25]]), path)
     back = read_samples_csv(path)
     assert back.shape == (1, 2)
-
-
-def test_binary_round_trip(tmp_path):
-    rng = np.random.default_rng(32)
-    pts = rng.normal(size=(9, 2))
-    path = tmp_path / "samples.bin"
-    write_samples_binary(pts, path)
-    back = read_samples_binary(path, dim=2)
-    assert np.array_equal(back, pts)
-
 
 
 def test_binomial_inversion_matches_scipy_stats_binom_ppf():
