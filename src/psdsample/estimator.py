@@ -415,10 +415,8 @@ def fit_psd(
         warm = np.zeros(iu.size)
     h_warm = apply_h(warm)
     start = "warm" if objective(warm, h_warm) < 0.0 else "zero"
-    if start == "warm":
-        x, hx = warm, h_warm
-    else:
-        x, hx = np.zeros(iu.size), np.zeros(iu.size)
+    zero = np.zeros(iu.size)
+    x, hx = (warm, h_warm) if start == "warm" else (zero, zero)
 
     # MFISTA (Beck & Teboulle 2009).  The gradient 2 (H a - c) is affine,
     # so at the extrapolated point y it is the same combination of the
@@ -432,8 +430,6 @@ def fit_psd(
     iters = 0
     gmap = 0.0
     converged = grad0 == 0.0  # C = 0: A = 0 is the minimizer
-    if not converged and L == 0.0:
-        raise IllConditionedError("the squared model's Gram vanishes on the domain")
     while not converged and iters < max_iters:
         iters += 1
         z = project_psd(to_matrix(y - (2.0 / L) * (hy - c)))[iu, ju]

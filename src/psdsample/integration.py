@@ -16,7 +16,7 @@ so each unique pair is evaluated once, and a batch of boxes evaluates erf
 once per distinct edge per axis, which bisected boxes share heavily.
 
 A rank-one model is integrated through its cached full form
-(``RankOneModel.to_psd``).  The squared model has one Gram builder: a
+(``RankOneModel.to_psd``).  The squared model's Gram comes from one
 row-chunked loop over the unique-pair midpoints that yields rows of
 c * k_eta(mid_p, mid_q) times a k_{4 eta} erf product, whose erf
 differences go through erfc where both bounds lie in one tail.
