@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .boxes import HyperRectangle
+from .boxes import HyperRectangle, rng_from_seed
 from .exceptions import EmptyMassError
-from .sampler import _rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class GridSampler:
         """Draw n_samples i.i.d. points, deterministic in the seed."""
         if n_samples < 0:
             raise ValueError("n_samples must be nonnegative")
-        rng = _rng_from_seed(seed)
+        rng = rng_from_seed(seed)
         if n_samples == 0:
             return np.empty((0, self.dim))
         cdf = np.cumsum(self.probabilities)

@@ -7,6 +7,7 @@ endpoints are allowed; operations that need a bounded box say so.
 ``split_axes`` fixes the dyadic partition with leaf size rho, the axis
 each level halves, so that every leaf is a cell of one grid.  ``bisect``
 is the one bisection core the sampler and the quadrature share.
+``rng_from_seed`` is the one random stream of the package's seeded draws.
 """
 
 from __future__ import annotations
@@ -123,3 +124,8 @@ def split_axes(box: HyperRectangle, rho: float) -> NDArray[np.int64]:
         axes.append(int(np.argmax(shape)))
         shape[axes[-1]] *= 0.5
     return np.array(axes, dtype=np.int64)
+
+
+def rng_from_seed(seed: int) -> np.random.Generator:
+    """Counter-based Philox generator keyed on a 64-bit seed."""
+    return np.random.Generator(np.random.Philox(key=int(seed)))

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .boxes import HyperRectangle
+from .boxes import HyperRectangle, rng_from_seed
 from .exceptions import ConvergenceWarning, IllConditionedError
 # quartic_gram stays importable here for tools that wrap it by this name
 from .integration import pair_gram, quartic_gram  # noqa: F401
@@ -178,16 +178,12 @@ class FitReport:
         }
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
-
-
 def _uniform_in(rng, box: HyperRectangle, count: int) -> NDArray[np.float64]:
     return box.lower + rng.random((count, box.dim)) * box.side_lengths
 
 
 def _draw_design(oracle, config, centers, design_points):
-    rng = _rng(config.seed)
+    rng = rng_from_seed(config.seed)
     if design_points is None:
         X_n = _uniform_in(rng, oracle.domain, config.n)
     else:
@@ -255,8 +251,12 @@ def fit_rank_one(
 ) -> tuple[RankOneModel, FitReport]:
     """Kernel ridge fit of a signed square root of the target."""
     X_n, X_m = _draw_design(oracle, config, centers, design_points)
-    g_n = oracle(X_n)
-    eta = np.full(oracle.domain.dim, float(config.tau))
+    return _ridge_fit(X_n, X_m, oracle(X_n), config)
+
+
+def _ridge_fit(X_n, X_m, g_n, config: FitConfig) -> tuple[RankOneModel, FitReport]:
+    """Rank-one model from the evaluations ``g_n`` at the design ``X_n``."""
+    eta = np.full(X_m.shape[1], float(config.tau))
     K_nm = kernel_matrix(eta, X_n, X_m)
     K_mm = kernel_matrix(eta, X_m)
     a, residual, rhs_norm, jitter = _solve_ridge(
@@ -283,7 +283,8 @@ def fit_rank_one_holdout(
 
     The n evaluations are drawn once; the first half trains each
     candidate, the second half scores it by mean squared error, and the
-    winner is refit on all n points with the same centers.
+    winner is refit on all n points with the same centers, reusing their
+    evaluations: the oracle is queried n times in all.
     """
     taus = [float(t) for t in taus]
     lams = [float(l) for l in lams]
@@ -320,9 +321,7 @@ def fit_rank_one_holdout(
     final_cfg = FitConfig(
         n=config.n, m=config.m, tau=tau, lam=lam, seed=config.seed
     )
-    model, report = fit_rank_one(
-        oracle, final_cfg, centers=X_m, design_points=X_n
-    )
+    model, report = _ridge_fit(X_n, X_m, g_n, final_cfg)
     report.holdout = rows
     return model, report
 

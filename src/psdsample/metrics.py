@@ -155,7 +155,11 @@ class DistanceReport:
 def exact_distances(
     model, box: HyperRectangle, rho: float, tol: float = 1e-9
 ) -> DistanceReport:
-    """Quadrature distances between model and leaf densities (d <= 2)."""
+    """Quadrature distances between model and leaf densities (d <= 2).
+
+    ``tol`` is each leaf's absolute quadrature error target, not their
+    sum's: with L leaves a reported distance can be off by up to L * tol.
+    """
     if box.dim > 2:
         raise ValueError("exact distances are quadrature-based and need d <= 2")
     dd = dyadic_density(model, box, rho)

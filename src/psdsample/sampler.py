@@ -20,11 +20,13 @@ The boxes of one level share their edges, so the batched integral
 evaluates erf only once per distinct edge, axis and unique pair, far
 fewer times than that count.
 
-The recursion is processed level by level with all boxes of a level
-batched into single vectorized calls.  Randomness comes from one
-counter-based Philox stream keyed on the seed; within a level, leaf
-fills consume draws before the binomial splits, and the permutation is
-drawn last.  Identical seed and inputs reproduce the run bit for bit.
+The recursion is one walk over the ``split_axes`` schedule, the boxes
+of a level batched into single vectorized calls; a child whose computed
+mass is zero gets no draws.  The leaves are filled once, after the last
+level, and the final permutation alone orders the output.  Randomness
+comes from one counter-based Philox stream keyed on the seed: binomial
+uniforms level by level, then leaf uniforms, then the permutation.
+Identical seed and inputs reproduce the run bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from numpy.typing import NDArray
 # binom.ppf's kernel; scipy.stats would add about 0.9 s to every import
 from scipy.special._ufuncs import _binom_ppf
 
-from .boxes import HyperRectangle, bisect, split_axes
+from .boxes import HyperRectangle, bisect, rng_from_seed, split_axes
 from .exceptions import EmptyMassError, ResourceLimitError, UnboundedDomainError
 from .integration import IntegralAccounting, integrate, integrate_boxes
 from .models import lipschitz_bounds
@@ -95,10 +97,6 @@ def integral_budget(box: HyperRectangle, rho: float, n_samples: int) -> float:
     )
 
 
-def _rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 def _binomial_inversion(
     rng: np.random.Generator, n: NDArray[np.int64], q: NDArray[np.float64]
 ) -> NDArray[np.int64]:
@@ -113,8 +111,10 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
 
     Raises ``UnboundedDomainError`` for an unbounded box (run
     ``find_support`` first) and ``EmptyMassError`` when the model's mass
-    on the box is zero.  Leaves are the cells of the ``split_axes`` grid,
-    but a box whose mass underflows to zero is filled as a leaf.
+    on the box is zero.  Leaves are the cells of the ``split_axes`` grid.
+    A child gets draws only if its computed mass is positive (a zero-mass
+    right half sends them all left), so every box the walk keeps has
+    positive mass and count, and ``left_mass / mass`` never divides by 0.
     """
     if box.dim != model.d:
         raise ValueError("box dimension does not match the model")
@@ -124,66 +124,38 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
         )
     n_total = int(params.n_samples)
     d = box.dim
-    rng = _rng_from_seed(int(params.seed))
+    rng = rng_from_seed(params.seed)
     acct = IntegralAccounting()
     root_mass = integrate(model, box, acct)
-
-    out = np.empty((n_total, d))
-    leaf_count = 0
+    rho = float(params.rho)
     if n_total == 0:
-        return SampleRun(out, acct, float(params.rho), leaf_count)
+        return SampleRun(np.empty((0, d)), acct, rho, 0)
     if root_mass <= 0.0:
         raise EmptyMassError("model has zero mass on the requested box")
-
-    rho = float(params.rho)
-    axes = split_axes(box, rho)
 
     lo = box.lower[None, :].copy()
     hi = box.upper[None, :].copy()
     mass = np.array([root_mass])
     cnt = np.array([n_total], dtype=np.int64)
-    off = np.zeros(1, dtype=np.int64)
-
-    for level in range(axes.size + 1):
-        fill = (mass <= 0.0) | (level == axes.size)
-
-        if np.any(fill):
-            idx = np.nonzero(fill)[0]
-            counts_f = cnt[idx]
-            total = int(counts_f.sum())
-            u = rng.random((total, d))
-            rep_lo = np.repeat(lo[idx], counts_f, axis=0)
-            rep_side = np.repeat(hi[idx] - lo[idx], counts_f, axis=0)
-            starts = np.concatenate(([0], np.cumsum(counts_f)[:-1]))
-            dest = np.repeat(off[idx] - starts, counts_f) + np.arange(total)
-            out[dest] = rep_lo + u * rep_side
-            leaf_count += idx.size
-
-        keep = np.nonzero(~fill)[0]
-        if keep.size == 0:
-            break
-        ilo = lo[keep]
-        ihi = hi[keep]
-        imass = mass[keep]
-        icnt = cnt[keep]
-        ioff = off[keep]
-        left_hi, right_lo = bisect(ilo, ihi, axes[level])
-
-        left_mass = integrate_boxes(model, ilo, left_hi, acct)
-        np.minimum(left_mass, imass, out=left_mass)
-        k = _binomial_inversion(rng, icnt, left_mass / imass)
-        right_mass = imass - left_mass
+    for axis in split_axes(box, rho):
+        left_hi, right_lo = bisect(lo, hi, axis)
+        left_mass = integrate_boxes(model, lo, left_hi, acct)
+        np.minimum(left_mass, mass, out=left_mass)
+        right_mass = mass - left_mass
+        k = _binomial_inversion(rng, cnt, left_mass / mass)
+        # the quantile at u = 0 is 0 even when q = 1
+        k = np.where(right_mass > 0.0, k, cnt)
 
         take_l = k > 0
-        take_r = (icnt - k) > 0
-        lo = np.concatenate([ilo[take_l], right_lo[take_r]])
-        hi = np.concatenate([left_hi[take_l], ihi[take_r]])
+        take_r = k < cnt
+        lo = np.concatenate([lo[take_l], right_lo[take_r]])
+        hi = np.concatenate([left_hi[take_l], hi[take_r]])
         mass = np.concatenate([left_mass[take_l], right_mass[take_r]])
-        cnt = np.concatenate([k[take_l], (icnt - k)[take_r]])
-        off = np.concatenate([ioff[take_l], (ioff + k)[take_r]])
+        cnt = np.concatenate([k[take_l], (cnt - k)[take_r]])
 
-    out = out[rng.permutation(n_total)]
-    return SampleRun(out, acct, rho, leaf_count)
+    u = rng.random((n_total, d))
+    out = np.repeat(lo, cnt, axis=0) + u * np.repeat(hi - lo, cnt, axis=0)
+    return SampleRun(out[rng.permutation(n_total)], acct, rho, lo.shape[0])
 
 
 def adaptive_rho(model, box: HyperRectangle, epsilon: float, metric: str = "tv") -> float:

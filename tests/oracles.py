@@ -3,10 +3,16 @@
 Kept deliberately separate from the package's own quadrature so the
 tests cross-check against a second implementation: fixed-panel tensor
 Gauss-Legendre cubature, plenty for smooth Gaussian integrands in up to
-three dimensions.
+three dimensions.  ``sample_reference`` keeps the sampler's earlier
+level loop, which filled leaves level by level at tree-order offsets.
 """
 
 import numpy as np
+
+from psdsample.boxes import bisect, rng_from_seed, split_axes
+from psdsample.exceptions import EmptyMassError
+from psdsample.integration import IntegralAccounting, integrate, integrate_boxes
+from psdsample.sampler import SampleRun, _binomial_inversion
 
 
 def gl_box_integral(fn, lower, upper, panels=8, order=16):
@@ -66,3 +72,70 @@ def pairwise_kernel_sum(X, Y, eta):
     for x in X:
         total += float(np.exp(-eta * np.sum((Y - x) ** 2, axis=1)).sum())
     return total
+
+
+def sample_reference(model, box, params):
+    """``sampler.sample`` as a level loop with per-level fills and
+    tree-order output offsets; same draws, other row order."""
+    n_total = int(params.n_samples)
+    d = box.dim
+    rng = rng_from_seed(int(params.seed))
+    acct = IntegralAccounting()
+    root_mass = integrate(model, box, acct)
+
+    out = np.empty((n_total, d))
+    leaf_count = 0
+    if n_total == 0:
+        return SampleRun(out, acct, float(params.rho), leaf_count)
+    if root_mass <= 0.0:
+        raise EmptyMassError("model has zero mass on the requested box")
+
+    rho = float(params.rho)
+    axes = split_axes(box, rho)
+
+    lo = box.lower[None, :].copy()
+    hi = box.upper[None, :].copy()
+    mass = np.array([root_mass])
+    cnt = np.array([n_total], dtype=np.int64)
+    off = np.zeros(1, dtype=np.int64)
+
+    for level in range(axes.size + 1):
+        fill = (mass <= 0.0) | (level == axes.size)
+
+        if np.any(fill):
+            idx = np.nonzero(fill)[0]
+            counts_f = cnt[idx]
+            total = int(counts_f.sum())
+            u = rng.random((total, d))
+            rep_lo = np.repeat(lo[idx], counts_f, axis=0)
+            rep_side = np.repeat(hi[idx] - lo[idx], counts_f, axis=0)
+            starts = np.concatenate(([0], np.cumsum(counts_f)[:-1]))
+            dest = np.repeat(off[idx] - starts, counts_f) + np.arange(total)
+            out[dest] = rep_lo + u * rep_side
+            leaf_count += idx.size
+
+        keep = np.nonzero(~fill)[0]
+        if keep.size == 0:
+            break
+        ilo = lo[keep]
+        ihi = hi[keep]
+        imass = mass[keep]
+        icnt = cnt[keep]
+        ioff = off[keep]
+        left_hi, right_lo = bisect(ilo, ihi, axes[level])
+
+        left_mass = integrate_boxes(model, ilo, left_hi, acct)
+        np.minimum(left_mass, imass, out=left_mass)
+        k = _binomial_inversion(rng, icnt, left_mass / imass)
+        right_mass = imass - left_mass
+
+        take_l = k > 0
+        take_r = (icnt - k) > 0
+        lo = np.concatenate([ilo[take_l], right_lo[take_r]])
+        hi = np.concatenate([left_hi[take_l], ihi[take_r]])
+        mass = np.concatenate([left_mass[take_l], right_mass[take_r]])
+        cnt = np.concatenate([k[take_l], (icnt - k)[take_r]])
+        off = np.concatenate([ioff[take_l], (ioff + k)[take_r]])
+
+    out = out[rng.permutation(n_total)]
+    return SampleRun(out, acct, rho, leaf_count)

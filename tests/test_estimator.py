@@ -143,6 +143,30 @@ def test_holdout_selects_true_precision_and_reports_grid():
     assert best_row["tau"] == 0.5
 
 
+def test_holdout_evaluates_the_oracle_once_per_design_point():
+    rng = np.random.default_rng(7)
+    X_m = rng.uniform(-2, 2, size=(8, 1))
+    r1 = RankOneModel(a=rng.normal(size=8), X=X_m, eta=np.array([0.5]))
+    evaluated = []
+
+    def counted(points):
+        evaluated.append(len(points))
+        return r1.linear_evaluate(points)
+
+    oracle = EvaluationOracle(counted, unit_box(), kind="linear")
+    cfg = FitConfig(n=400, m=8, tau=0.5, lam=1e-9, seed=9)
+    model, report = fit_rank_one_holdout(oracle, cfg, [0.1, 0.5], [1e-9, 1e-4])
+    assert sum(evaluated) == cfg.n
+    chosen = FitConfig(
+        n=cfg.n, m=cfg.m, tau=report.config["tau"], lam=report.config["lambda"], seed=cfg.seed
+    )
+    refit, refit_report = fit_rank_one(oracle, chosen)
+    assert np.array_equal(model.a, refit.a)
+    assert np.array_equal(model.X, refit.X)
+    assert np.array_equal(model.eta, refit.eta)
+    assert report.residual == refit_report.residual
+
+
 def test_holdout_needs_room_for_centers():
     domain = unit_box()
     oracle = EvaluationOracle(lambda p: p[:, 0], domain, kind="linear")

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 import psdsample
+from psdsample import sampler as sampler_module
 from psdsample.boxes import HyperRectangle, split_axes
 from psdsample.exceptions import EmptyMassError, UnboundedDomainError
 from psdsample.integration import IntegralAccounting, integrate, integrate_boxes
@@ -24,7 +27,7 @@ from psdsample.sampler import (
     write_samples_csv,
 )
 
-from oracles import gl_box_integral
+from oracles import gl_box_integral, sample_reference
 
 
 def unit_model():
@@ -130,6 +133,65 @@ def test_output_order_is_permuted_not_tree_order():
     # permutation makes adjacent-pair increases hit about half
     increases = np.mean(np.diff(x) > 0)
     assert 0.4 < increases < 0.6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 3),
+    dyadic=st.booleans(),
+    n=st.integers(0, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=1, m=1, dyadic=True, n=0, seed=0)
+@example(d=2, m=2, dyadic=False, n=1, seed=1)
+def test_walk_draws_the_reference_loops_points(d, m, dyadic, n, seed):
+    rng = np.random.default_rng(seed)
+    if dyadic:
+        lo = rng.integers(-12, 1, size=d) / 4
+        hi = lo + 2.0 ** rng.integers(-1, 3, size=d)
+    else:
+        lo = np.round(rng.uniform(-3.0, 0.0, size=d), 1)
+        hi = np.round(lo + rng.uniform(0.5, 3.0, size=d), 1)
+    box = HyperRectangle(lo, hi)
+    B = rng.normal(size=(m, m))
+    model = GaussianPsdModel(
+        A=B @ B.T,
+        X=rng.uniform(lo - 0.5, hi + 0.5, size=(m, d)),
+        eta=rng.uniform(0.5, 2.0, size=d),
+    )
+    rho = float(rng.choice([0.5, 0.25, 0.3, 0.125]))
+    params = SamplerParams(rho=rho, n_samples=n, seed=seed)
+    run = sample(model, box, params)
+    ref = sample_reference(model, box, params)
+
+    def rows_sorted(x):
+        return x[np.lexsort(x.T[::-1])]
+
+    assert run.samples.shape == (n, d)
+    assert np.array_equal(rows_sorted(run.samples), rows_sorted(ref.samples))
+    assert run.accounting.integral_evals == ref.accounting.integral_evals
+    assert run.accounting.erf_calls == ref.accounting.erf_calls
+    assert run.leaf_count == ref.leaf_count
+
+
+def test_a_zero_mass_half_gets_no_draws(monkeypatch):
+    # the binomial quantile at u = 0 is 0 even when q = 1, which would
+    # send every draw into a right half of zero computed mass
+    class ZeroUniforms:
+        def random(self, size):
+            return np.zeros(size)
+
+        def permutation(self, n):
+            return np.arange(n)
+
+    monkeypatch.setattr(sampler_module, "rng_from_seed", lambda seed: ZeroUniforms())
+    model = unit_model()
+    right = HyperRectangle(np.array([20.0]), np.array([40.0]))
+    assert integrate(model, right) == 0.0
+    box = HyperRectangle(np.array([0.0]), np.array([40.0]))
+    run = sample(model, box, SamplerParams(rho=20.0, n_samples=5, seed=0))
+    assert np.all((run.samples >= 0.0) & (run.samples < 20.0))
 
 
 def test_sample_moments_match_cubature():
