@@ -182,13 +182,23 @@ def _section(cfg_section: Optional[dict], name: str) -> dict:
     return cfg_section
 
 
+def _convert(value, kind, label: str):
+    """``kind(value)``, refusing what int() would truncate: an int key
+    takes an integral number such as 1e4, not 2.5 or true."""
+    if kind is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{label} must be an integer")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{label} must be a number") from None
+
+
 def _get_number(section: dict, name: str, key: str, kind=float):
     if key not in section:
         raise ConfigError(f"config section '{name}' needs '{key}'")
-    try:
-        return kind(section[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}.{key} must be a number") from None
+    return _convert(section[key], kind, f"{name}.{key}")
 
 
 def cmd_fit(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
@@ -437,7 +447,9 @@ def cmd_benchmark(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         kwargs["methods"] = methods
     for key, (param, kind) in _BENCHMARK_KEYS.items():
         if key in section:
-            kwargs[param] = section[key] if kind is None else kind(section[key])
+            kwargs[param] = (
+                section[key] if kind is None else _convert(section[key], kind, f"benchmark.{key}")
+            )
     rows = run_benchmark(target, budgets, seed=args.seed, **kwargs)
 
     table_path = _config_path(args, cfg, "table", "benchmark.csv")

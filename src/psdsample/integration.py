@@ -11,9 +11,15 @@ product of one-dimensional Gaussian integrals expressed through erf.  The
 closed form of a finite box has 2 * d * m^2 erf terms; infinite endpoints
 substitute erf(+-inf) = +-1 and are not counted.  ``erf_calls`` reports
 that term count, which the tests pin, not the erfs actually evaluated.
-The evaluation does less work: the (i, j) and (j, i) terms are identical,
-so each unique pair is evaluated once, and a batch of boxes evaluates erf
-once per distinct edge per axis, which bisected boxes share heavily.
+The evaluation does less work.  The (i, j) and (j, i) terms are
+identical, so each unique pair is evaluated once.  A batch of boxes
+finds the distinct edges and (lower, upper) intervals of each axis,
+evaluates erf(s (edge - mid)) once per distinct edge and unique pair,
+and tabulates their difference erf(s (hi - mid)) - erf(s (lo - mid))
+per interval; each box then gathers one table row per axis and
+multiplies it into its pair products.  Bisected boxes share few
+intervals per axis (a sampler level has at most 2^c on an axis halved
+c times), so the tables are small; ``erf_evals`` counts the erfs taken.
 
 A rank-one model is integrated through its cached full form
 (``RankOneModel.to_psd``).  The squared model's Gram comes from one
@@ -49,7 +55,15 @@ __all__ = [
 ]
 
 # elements per chunk array when batching erf over boxes and pairs; 8 MB
-# arrays ran integrate_boxes twice as fast as 32 MB ones on a 2-core Xeon
+# arrays ran integrate_boxes twice as fast as 32 MB ones on a 2-core Xeon.
+# integrate_boxes' interval tables of all axes share the same budget: a
+# batch with more distinct intervals is cut into runs of whole chunks
+# that build tables of their own, down to one chunk, whose b boxes have
+# at most b intervals per axis.  A one-chunk run builds and drops its
+# tables one axis at a time, so with the erf rows behind one table (up
+# to two edges per interval) and a gather temporary, a call peaks near
+# six arrays of this size whatever the batch and d, besides its edge and
+# interval indices, which are as long as the corner arrays.
 _CHUNK_ELEMS = 1_000_000
 
 
@@ -58,17 +72,79 @@ class IntegralAccounting:
     """Counters for the work spent inside box integrals.
 
     ``integral_evals`` counts box integrals.  ``erf_calls`` counts the
-    closed form's erf terms at finite bounds, 2 * d * m^2 per finite box;
-    a batch evaluates erf only once per distinct edge per axis and unique
-    pair, so fewer erfs are actually computed.  Both only ever grow.
+    closed form's erf terms at finite bounds, 2 * d * m^2 per finite box.
+    ``erf_evals`` counts the erfs actually evaluated: one per distinct
+    edge per axis and unique pair of each run of boxes that shares
+    tables, infinite edges included.  All three only ever grow.
     """
 
     integral_evals: int = 0
     erf_calls: int = 0
+    erf_evals: int = 0
 
     def add(self, other: "IntegralAccounting") -> None:
         self.integral_evals += other.integral_evals
         self.erf_calls += other.erf_calls
+        self.erf_evals += other.erf_evals
+
+
+def _intervals(lo, hi):
+    """Distinct edges and (lo, hi) intervals of one axis.
+
+    Returns the sorted distinct edges, each interval's lower and upper
+    edge index into them, and each box's interval index.  Sampler levels
+    and dyadic leaf sets pair every lower edge with one upper edge, so
+    one sort of the lower edges finds the intervals; any other batch
+    falls back to a sort of (lower, upper) edge index keys.
+    """
+    lo_u, inv = np.unique(lo, return_inverse=True)
+    hi_u = np.empty_like(lo_u)
+    hi_u[inv] = hi
+    if np.array_equal(hi_u[inv], hi):
+        edges, idx = np.unique(np.concatenate((lo_u, hi_u)), return_inverse=True)
+        return edges, idx[: lo_u.size], idx[lo_u.size :], inv
+    edges, idx = np.unique(np.concatenate((lo_u, hi)), return_inverse=True)
+    lo_idx, hi_idx = idx[: lo_u.size][inv], idx[lo_u.size :]
+    _, first, inv = np.unique(
+        lo_idx * edges.size + hi_idx, return_index=True, return_inverse=True
+    )
+    return edges, lo_idx[first], hi_idx[first], inv
+
+
+def _distinct(ids, scratch):
+    """Distinct values of the integers ``ids`` and each entry's index
+    into them, in linear time; ``scratch`` must be longer than the
+    largest id.  Which of a repeated id's entries wins the scatter does
+    not matter: every entry reads the same winner back."""
+    at = np.arange(ids.size)
+    scratch[ids] = at
+    rep = scratch[ids]
+    first = np.flatnonzero(rep == at)
+    index = np.empty(ids.size, dtype=np.intp)
+    index[first] = np.arange(first.size)
+    return ids[first], index[rep]
+
+
+def _run_axis(axis, first, last):
+    """The edges and intervals of one axis that boxes first:last use,
+    indexed afresh, from the call's sorted ones."""
+    edges, lo_idx, hi_idx, inv = axis
+    scratch = np.empty(max(edges.size, lo_idx.size), dtype=np.intp)
+    rows, inv = _distinct(inv[first:last], scratch)
+    lo_idx, hi_idx = lo_idx[rows], hi_idx[rows]
+    used, ends = _distinct(np.concatenate((lo_idx, hi_idx)), scratch)
+    return edges[used], ends[: rows.size], ends[rows.size :], inv
+
+
+def _interval_table(edges, lo_idx, hi_idx, mid_k, s_k):
+    """erf(s_k (hi - mid)) - erf(s_k (lo - mid)), intervals by pairs,
+    from one erf row per distinct edge."""
+    rows = np.subtract.outer(edges, mid_k)
+    rows *= s_k
+    _erf(rows, out=rows)
+    table = rows.take(hi_idx, axis=0)
+    table -= rows.take(lo_idx, axis=0)
+    return table
 
 
 def integrate_boxes(
@@ -103,35 +179,57 @@ def integrate_boxes(
     n_pairs = mid.shape[0]
     out = np.empty(B)
     step = max(1, _CHUNK_ELEMS // max(1, n_pairs))
-    # One set of chunk buffers per call, filled in place: fresh multi-MB
+    # Two chunk buffers per call, filled in place: fresh multi-MB
     # temporaries for every chunk cost a page fault per 4 KB page.  The
     # indices are in range, and take's default mode="raise" would copy
     # through a temporary.
-    bufs = np.empty((3, min(step, B) * n_pairs))
-    for start in range(0, B, step):
-        stop = min(B, start + step)
-        b = stop - start
-        acc, upper, lower = (buf[: b * n_pairs].reshape(b, n_pairs) for buf in bufs)
-        acc.fill(1.0)
-        for k in range(d):
-            # Bisected boxes share few distinct edges per axis, so erf is
-            # evaluated once per distinct edge and gathered per box.
-            edges, idx = np.unique(
-                np.concatenate((lowers[start:stop, k], uppers[start:stop, k])),
-                return_inverse=True,
-            )
-            rows = _erf(s[k] * (edges[:, None] - mid[None, :, k]))
-            np.take(rows, idx[b:], axis=0, out=upper, mode="clip")
-            np.take(rows, idx[:b], axis=0, out=lower, mode="clip")
-            np.subtract(upper, lower, out=upper)
-            acc *= upper
-        out[start:stop] = acc @ w
+    bufs = np.empty((2, min(step, B) * n_pairs))
+    evals = 0
+    call_axes = [_intervals(lowers[:, k], uppers[:, k]) for k in range(d)]
+    runs = [(0, B)]
+    while runs:
+        first, last = runs.pop()
+        if (first, last) == (0, B):
+            axes = call_axes
+        else:
+            axes = [_run_axis(axis, first, last) for axis in call_axes]
+        rows = sum(axis[1].size for axis in axes)
+        if rows * n_pairs > _CHUNK_ELEMS and last - first > step:
+            # Halve the run at a chunk boundary.  The chunks stay as they
+            # are, and so does the shape of each chunk's acc @ w, whose
+            # rounding may depend on it.
+            chunks = -(-(last - first) // step)
+            cut = first + chunks // 2 * step
+            runs += [(cut, last), (first, cut)]
+            continue
+        evals += sum(axis[0].size for axis in axes) * n_pairs
+        # later chunks of the run read the tables again; a lone chunk
+        # drops each one after use, so one table at a time is alive
+        keep = last - first > step
+        tables = [None] * d
+        for start in range(first, last, step):
+            stop = min(last, start + step)
+            b = stop - start
+            acc, row = (buf[: b * n_pairs].reshape(b, n_pairs) for buf in bufs)
+            for k in range(d):
+                edges, lo_idx, hi_idx, inv = axes[k]
+                if tables[k] is None:
+                    tables[k] = _interval_table(edges, lo_idx, hi_idx, mid[:, k], s[k])
+                # the first axis' rows start the product (1.0 * x is x)
+                idx = inv[start - first : stop - first]
+                np.take(tables[k], idx, axis=0, out=row if k else acc, mode="clip")
+                if not keep:
+                    tables[k] = None
+                if k:
+                    acc *= row
+            out[start:stop] = acc @ w
     if acct is not None:
         # The counter reports the closed form's term count: one erf per
         # pair (i, j) per finite bound, even though symmetric duplicates
-        # and shared edges are evaluated once.
+        # and shared intervals are evaluated once.
         finite_bounds = np.isfinite(lowers).sum() + np.isfinite(uppers).sum()
         acct.erf_calls += int(finite_bounds) * model.m**2
+        acct.erf_evals += evals
         acct.integral_evals += B
     np.maximum(out, 0.0, out=out)
     return c * out

@@ -16,9 +16,10 @@ the root integral that keeps the total at
     N * max(0, log2(vol(Q))) + N * d * log2(2 / rho) + 1
 
 box integrals, each counted as 2 * d * m^2 erf terms in ``erf_calls``.
-The boxes of one level share their edges, so the batched integral
-evaluates erf only once per distinct edge, axis and unique pair, far
-fewer times than that count.
+The boxes of one level share their intervals, at most 2^c on an axis
+halved c times, so the batched integral evaluates erf once per
+distinct edge, axis and unique pair (``erf_evals``), far fewer erfs
+than that count, and tabulates their differences per interval.
 
 The recursion is one walk over the ``split_axes`` schedule, the boxes
 of a level batched into single vectorized calls; a child whose computed

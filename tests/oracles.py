@@ -5,13 +5,18 @@ tests cross-check against a second implementation: fixed-panel tensor
 Gauss-Legendre cubature, plenty for smooth Gaussian integrands in up to
 three dimensions.  ``sample_reference`` keeps the sampler's earlier
 level loop, which filled leaves level by level at tree-order offsets.
+``integrate_boxes_reference`` keeps the earlier box-batch integral,
+which evaluated erf per distinct edge in every chunk.
 """
 
 import numpy as np
+from scipy.special import erf as _erf
 
+from psdsample import integration
 from psdsample.boxes import bisect, rng_from_seed, split_axes
 from psdsample.exceptions import EmptyMassError
 from psdsample.integration import IntegralAccounting, integrate, integrate_boxes
+from psdsample.models import _as_psd
 from psdsample.sampler import SampleRun, _binomial_inversion
 
 
@@ -139,3 +144,61 @@ def sample_reference(model, box, params):
 
     out = out[rng.permutation(n_total)]
     return SampleRun(out, acct, rho, leaf_count)
+
+
+def integrate_boxes_reference(model, lowers, uppers, acct=None):
+    """``integration.integrate_boxes`` with erf rows per distinct edge of
+    each chunk, read at ``integration._CHUNK_ELEMS`` as it is set when
+    called; same values and accounting, ``erf_evals`` left as it is."""
+    model = _as_psd(model)
+    mid, w = model._pair_data
+    lowers = np.atleast_2d(np.asarray(lowers, dtype=float))
+    uppers = np.atleast_2d(np.asarray(uppers, dtype=float))
+    d = model.d
+    if lowers.shape != uppers.shape or lowers.shape[1] != d:
+        raise ValueError("corner arrays must both be (B, d)")
+    if np.any(np.isnan(lowers)) or np.any(np.isnan(uppers)):
+        raise ValueError("box corners must not be NaN")
+    if np.any(lowers > uppers):
+        raise ValueError("need lower <= upper for every box")
+
+    s = np.sqrt(2.0 * model.eta)  # per-coordinate scale of k_{2 eta}
+    # (pi/4)^{d/2} * det(diag(2 eta))^{-1/2}
+    c = float(np.prod(np.sqrt(np.pi) / (2.0 * s)))
+
+    B = lowers.shape[0]
+    n_pairs = mid.shape[0]
+    out = np.empty(B)
+    step = max(1, integration._CHUNK_ELEMS // max(1, n_pairs))
+    # One set of chunk buffers per call, filled in place: fresh multi-MB
+    # temporaries for every chunk cost a page fault per 4 KB page.  The
+    # indices are in range, and take's default mode="raise" would copy
+    # through a temporary.
+    bufs = np.empty((3, min(step, B) * n_pairs))
+    for start in range(0, B, step):
+        stop = min(B, start + step)
+        b = stop - start
+        acc, upper, lower = (buf[: b * n_pairs].reshape(b, n_pairs) for buf in bufs)
+        acc.fill(1.0)
+        for k in range(d):
+            # Bisected boxes share few distinct edges per axis, so erf is
+            # evaluated once per distinct edge and gathered per box.
+            edges, idx = np.unique(
+                np.concatenate((lowers[start:stop, k], uppers[start:stop, k])),
+                return_inverse=True,
+            )
+            rows = _erf(s[k] * (edges[:, None] - mid[None, :, k]))
+            np.take(rows, idx[b:], axis=0, out=upper, mode="clip")
+            np.take(rows, idx[:b], axis=0, out=lower, mode="clip")
+            np.subtract(upper, lower, out=upper)
+            acc *= upper
+        out[start:stop] = acc @ w
+    if acct is not None:
+        # The counter reports the closed form's term count: one erf per
+        # pair (i, j) per finite bound, even though symmetric duplicates
+        # and shared edges are evaluated once.
+        finite_bounds = np.isfinite(lowers).sum() + np.isfinite(uppers).sum()
+        acct.erf_calls += int(finite_bounds) * model.m**2
+        acct.integral_evals += B
+    np.maximum(out, 0.0, out=out)
+    return c * out

@@ -536,6 +536,36 @@ ERROR_CASES = {
         ["benchmark"], {"density": "gaussian-well-1d", "benchmark": {"budgets": [40]}},
         2, "benchmark needs a target with an exact model; 'gaussian-well-1d' has none",
     ),
+    # int keys refuse values int() would truncate
+    "sample-fractional-count": (
+        ["sample"], {"domain": DOMAIN_1D, "sampler": {"n_samples": 2.5, "rho": 0.5}},
+        2, "sampler.n_samples must be an integer",
+    ),
+    "sample-boolean-count": (
+        ["sample"], {"domain": DOMAIN_1D, "sampler": {"n_samples": True, "rho": 0.5}},
+        2, "sampler.n_samples must be an integer",
+    ),
+    "fit-fractional-n": (
+        ["fit"], {"density": "gaussian-well-1d", "fit": {**FIT, "n": 20.5}},
+        2, "fit.n must be an integer",
+    ),
+    "fit-boolean-m": (
+        ["fit", "--psd"], {"density": "gaussian-well-1d", "fit": {**FIT, "m": True}},
+        2, "fit.m must be an integer",
+    ),
+    **{
+        f"benchmark-fractional-{key}": (
+            ["benchmark"],
+            {"density": "squared-diff-5d", "benchmark": {"budgets": [40], key: 2.5}},
+            2, f"benchmark.{key} must be an integer",
+        )
+        for key in ("n_samples", "repetitions", "m")
+    },
+    "benchmark-boolean-repetitions": (
+        ["benchmark"],
+        {"density": "squared-diff-5d", "benchmark": {"budgets": [40], "repetitions": False}},
+        2, "benchmark.repetitions must be an integer",
+    ),
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from psdsample import integration
-from psdsample.boxes import HyperRectangle, bisect
+from psdsample.boxes import HyperRectangle, bisect, split_axes
 from psdsample.exceptions import ResourceLimitError
 from psdsample.integration import (
     IntegralAccounting,
@@ -17,7 +19,7 @@ from psdsample.integration import (
 )
 from psdsample.models import GaussianPsdModel, RankOneModel
 
-from oracles import gl_box_integral
+from oracles import gl_box_integral, integrate_boxes_reference
 
 
 def unit_model():
@@ -100,6 +102,9 @@ def test_batch_matches_single_box_calls(monkeypatch):
     assert np.allclose(batch, singles, rtol=1e-14)
     assert acct.integral_evals == 37
     assert acct.erf_calls == 37 * 2 * 2 * 9
+    # random edges make 74 distinct edges per axis, one erf each for
+    # each of the 6 unique pairs
+    assert acct.erf_evals == 2 * 74 * 6
 
     # Four levels of longest-side bisection, so boxes share edges as in
     # the sampler, plus infinite and zero-width edges, over several chunks.
@@ -136,6 +141,129 @@ def test_batch_matches_single_box_calls(monkeypatch):
     assert acct.integral_evals == n
     # four infinite bounds drop out of the 2 * d * m^2 count
     assert acct.erf_calls == (n * 2 * 3 - 4) * 16
+
+
+def test_erf_evals_counts_each_distinct_edge_once():
+    model = random_model(16, d=2, m=2)  # 3 unique pairs
+    # axis 0: the lower edge 0 meets upper edges 1 and 2, three intervals
+    # over the edges 0, 1, 2; axis 1: every box spans [-1, 1]
+    lo = np.array([[0.0, -1.0], [0.0, -1.0], [1.0, -1.0], [0.0, -1.0]])
+    hi = np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
+    acct = IntegralAccounting()
+    vals = integrate_boxes(model, lo, hi, acct)
+    assert vals.tobytes() == integrate_boxes_reference(model, lo, hi).tobytes()
+    assert acct.integral_evals == 4
+    assert acct.erf_calls == 4 * 2 * 2 * 4
+    assert acct.erf_evals == (3 + 2) * 3
+    total = IntegralAccounting(1, 2, 3)
+    total.add(acct)
+    assert total == IntegralAccounting(5, 2 + 64, 3 + 15)
+
+
+def _level_batch(rng, d):
+    """Lower corners and left-half upper corners of one sampler level,
+    with a random share of each level's boxes dropped as the sampler
+    drops children that get no draws."""
+    lo = rng.integers(-20, 0, size=d) / 10.0
+    box = HyperRectangle(lo, lo + rng.integers(5, 40, size=d) / 10.0)
+    axes = split_axes(box, 0.05)
+    level = int(rng.integers(0, min(axes.size, 9)))
+    lo, hi = box.lower[None, :].copy(), box.upper[None, :].copy()
+    for axis in axes[:level]:
+        left_hi, right_lo = bisect(lo, hi, axis)
+        lo = np.concatenate([lo, right_lo])
+        hi = np.concatenate([left_hi, hi])
+        keep = rng.random(lo.shape[0]) < 0.7
+        keep[rng.integers(lo.shape[0])] = True
+        lo, hi = lo[keep], hi[keep]
+    left_hi, _ = bisect(lo, hi, axes[level])
+    return lo, left_hi
+
+
+def _reference_erf_evals(lo, hi, pairs):
+    """erfs the reference evaluates: one per distinct edge of each chunk,
+    axis and unique pair."""
+    step = max(1, integration._CHUNK_ELEMS // pairs)
+    return pairs * sum(
+        np.unique(np.concatenate((lo[i : i + step, k], hi[i : i + step, k]))).size
+        for i in range(0, lo.shape[0], step)
+        for k in range(lo.shape[1])
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from(["level", "decimal"]),
+    st.booleans(),
+    st.integers(1, 12),
+)
+def test_batches_match_the_reference_bit_for_bit(seed, d, m, kind, edit, chunk_boxes):
+    model = random_model(seed, d, m)
+    rng = np.random.default_rng(seed)
+    if kind == "level":
+        lo, hi = _level_batch(rng, d)
+    else:
+        # one-decimal edges, where one lower edge meets two upper edges
+        n = int(rng.integers(2, 40))
+        lo = rng.integers(-20, 20, size=(n, d)) / 10.0
+        hi = lo + rng.integers(0, 15, size=(n, d)) / 10.0
+        lo[1, 0] = lo[0, 0]
+        hi[1, 0] = hi[0, 0] + 0.1
+    if edit:
+        n = lo.shape[0]
+        lo[rng.integers(n), rng.integers(d)] = -np.inf
+        hi[rng.integers(n), rng.integers(d)] = np.inf
+        i, k = rng.integers(n), rng.integers(d)
+        hi[i, k] = lo[i, k]
+    pairs = m * (m + 1) // 2
+    with pytest.MonkeyPatch.context() as patch:
+        # a few boxes per chunk: several chunks, and tables for all of
+        # a batch's intervals overflow the budget, so runs are split
+        patch.setattr(integration, "_CHUNK_ELEMS", chunk_boxes * pairs)
+        acct, ref_acct = IntegralAccounting(), IntegralAccounting()
+        vals = integrate_boxes(model, lo, hi, acct)
+        ref = integrate_boxes_reference(model, lo, hi, ref_acct)
+        ref_evals = _reference_erf_evals(lo, hi, pairs)
+    assert vals.tobytes() == ref.tobytes()
+    assert (acct.integral_evals, acct.erf_calls) == (ref_acct.integral_evals, ref_acct.erf_calls)
+    assert 0 < acct.erf_evals <= ref_evals
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_interval_tables_stay_within_the_chunk_budget(d):
+    # m = 40 (820 unique pairs), 1219 boxes per chunk.  d = 1: 2^14
+    # adjacent leaf intervals; d = 5: 2^13 random boxes, every interval
+    # and edge distinct, so a one-chunk run tabulates 1219 intervals over
+    # 2438 edges on each axis.
+    model = random_model(17, d=d, m=40)
+    if d == 1:
+        edges = -3.0 + 6.0 * np.arange(2**14 + 1) / 2**14
+        lo, hi = edges[:-1, None], edges[1:, None]
+    else:
+        rng = np.random.default_rng(18)
+        lo = rng.uniform(-2.0, 0.0, size=(2**13, d))
+        hi = lo + rng.uniform(0.1, 2.0, size=(2**13, d))
+    ref = integrate_boxes_reference(model, lo, hi)
+    acct = IntegralAccounting()
+    tracemalloc.start()
+    try:
+        vals = integrate_boxes(model, lo, hi, acct)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Two chunk buffers, one table, the erf rows of its up to twice as
+    # many edges and a gather temporary: six arrays of _CHUNK_ELEMS
+    # doubles whatever d, where d tables kept at once would take d + 5
+    # and unbounded tables 340 MB.
+    assert peak < 7 * 8 * integration._CHUNK_ELEMS
+    assert vals.tobytes() == ref.tobytes()
+    # every run is one chunk, with the reference's distinct edges
+    assert acct.erf_evals == _reference_erf_evals(lo, hi, 820)
+    if d == 1:
+        assert acct.erf_evals == (2**14 + 14) * 820
 
 
 def test_additivity_under_box_split():

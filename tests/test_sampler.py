@@ -100,6 +100,9 @@ def test_full_tree_integral_count():
     assert run.leaf_count == 128
     assert run.accounting.integral_evals == 128
     assert run.accounting.erf_calls == 2 * 1 * 4 * 128
+    # in one dimension every box of a call is its own interval, so each
+    # integral tabulates one row: two erfs for each of the 3 unique pairs
+    assert run.accounting.erf_evals == 2 * 3 * 128
 
 
 def test_budget_and_erf_accounting_hold_across_random_runs():
