@@ -183,12 +183,13 @@ def _section(cfg_section: Optional[dict], name: str) -> dict:
 
 
 def _convert(value, kind, label: str):
-    """``kind(value)``, refusing what int() would truncate: an int key
-    takes an integral number such as 1e4, not 2.5 or true."""
-    if kind is int and (
-        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    """``kind(value)``, refusing booleans and what int() would truncate:
+    an int key takes an integral number such as 1e4, not 2.5 or true, and
+    a float key takes 0.5 or "0.5", not true."""
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
     ):
-        raise ConfigError(f"{label} must be an integer")
+        raise ConfigError(f"{label} must be {'an integer' if kind is int else 'a number'}")
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -262,7 +263,7 @@ def cmd_sample(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
                 "domain is missing or unbounded; pass --find-support "
                 "or configure a bounded domain"
             )
-        eps_mass = float(section.get("support_eps", 1e-6))
+        eps_mass = _convert(section.get("support_eps", 1e-6), float, "sampler.support_eps")
         box = find_support(model, eps_mass)
         whole = HyperRectangle.whole_space(model.d)
         captured = integrate(model, box) / integrate(model, whole)
@@ -279,9 +280,10 @@ def cmd_sample(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if (rho_cfg is None) == (eps is None):
         raise ConfigError("exactly one of 'rho' or 'eps' must be given")
     if eps is not None:
-        rho_val = adaptive_rho(model, box, float(eps), metric=metric)
+        eps = _convert(eps, float, "sampler.eps")
+        rho_val = adaptive_rho(model, box, eps, metric=metric)
     else:
-        rho_val = float(rho_cfg)
+        rho_val = _convert(rho_cfg, float, "sampler.rho")
 
     params = SamplerParams(
         rho=rho_val,
@@ -305,13 +307,14 @@ def cmd_sample(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         "domain": _box_dict(box),
         "integral_evals": run.accounting.integral_evals,
         "erf_calls": run.accounting.erf_calls,
+        "erf_evals": run.accounting.erf_evals,
         "integral_budget": budget,
         "bound_satisfied": bool(run.accounting.integral_evals <= budget),
         "leaf_count": run.leaf_count,
         "samples_path": cfg.paths.get("samples", "samples.csv"),
     }
     if eps is not None:
-        report["eps"] = float(eps)
+        report["eps"] = eps
         report["metric"] = metric
     if support_info is not None:
         report["support"] = support_info
@@ -345,7 +348,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             raise ConfigError("exact distances need a bounded domain")
         _check_dim(box, model)
         rho = _get_number(metric, "metric", "rho")
-        tol = float(metric.get("tol", 1e-9))
+        tol = _convert(metric.get("tol", 1e-9), float, "metric.tol")
         distances = exact_distances(model, box, rho, tol=tol)
         payload = {
             "format_version": REPORT_FORMAT_VERSION,
@@ -360,7 +363,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         return 0
 
     if name == "mmd":
-        eta = float(metric.get("eta", 2.0))
+        eta = _convert(metric.get("eta", 2.0), float, "metric.eta")
         p_paths = _as_path_list(cfg.paths, "samples_p")
         q_paths = _as_path_list(cfg.paths, "samples_q")
         reps = max(len(p_paths), len(q_paths))

@@ -159,6 +159,8 @@ def test_sample_reports_accounting(tmp_path):
     assert report["integral_evals"] <= report["integral_budget"]
     # one model integral costs 2 d m^2 erf terms on a finite box
     assert report["erf_calls"] == 2 * 1 * 100 * report["integral_evals"]
+    # shared edges are evaluated once, so fewer erfs run than the terms
+    assert 0 < report["erf_evals"] <= report["erf_calls"]
     assert report["rho_used"] == 0.25
 
 
@@ -190,6 +192,10 @@ def test_sample_is_byte_deterministic(tmp_path):
     assert (
         out / "r1" / "sample_report.json"
     ).read_bytes() == (out / "r2" / "sample_report.json").read_bytes()
+    first, second = (
+        json.loads((out / sub / "sample_report.json").read_text()) for sub in ("r1", "r2")
+    )
+    assert first["erf_evals"] == second["erf_evals"] > 0
 
 
 def test_sample_requires_domain_or_flag(tmp_path):
@@ -565,6 +571,44 @@ ERROR_CASES = {
         ["benchmark"],
         {"density": "squared-diff-5d", "benchmark": {"budgets": [40], "repetitions": False}},
         2, "benchmark.repetitions must be an integer",
+    ),
+    # float keys refuse booleans
+    "sample-boolean-rho": (
+        ["sample"], {"domain": DOMAIN_1D, "sampler": {"n_samples": 5, "rho": True}},
+        2, "sampler.rho must be a number",
+    ),
+    "sample-boolean-eps": (
+        ["sample"], {"domain": DOMAIN_1D, "sampler": {"n_samples": 5, "eps": True}},
+        2, "sampler.eps must be a number",
+    ),
+    "sample-boolean-support-eps": (
+        ["sample", "--find-support"],
+        {"sampler": {"n_samples": 5, "rho": 0.5, "support_eps": True}},
+        2, "sampler.support_eps must be a number",
+    ),
+    "fit-boolean-tau": (
+        ["fit"], {"density": "gaussian-well-1d", "fit": {**FIT, "tau": True}},
+        2, "fit.tau must be a number",
+    ),
+    "evaluate-boolean-rho": (
+        ["evaluate"], {"domain": DOMAIN_1D, "metric": {"name": "exact", "rho": True}},
+        2, "metric.rho must be a number",
+    ),
+    "evaluate-boolean-tol": (
+        ["evaluate"],
+        {"domain": DOMAIN_1D, "metric": {"name": "exact", "rho": 0.5, "tol": False}},
+        2, "metric.tol must be a number",
+    ),
+    "mmd-boolean-eta": (
+        ["evaluate"],
+        {"metric": {"name": "mmd", "eta": True},
+         "paths": {"samples_p": "draws.csv", "samples_q": "draws.csv"}},
+        2, "metric.eta must be a number",
+    ),
+    "benchmark-boolean-rho": (
+        ["benchmark"],
+        {"density": "squared-diff-5d", "benchmark": {"budgets": [40], "rho": True}},
+        2, "benchmark.rho must be a number",
     ),
 }
 

@@ -180,6 +180,19 @@ def _level_batch(rng, d):
     return lo, left_hi
 
 
+def _grid_level(rng, halvings):
+    """Lower corners and left-half upper corners of the boxes of a
+    sampler level on [-2, 2]^d, axis k halved halvings[k] times, with
+    about 70% of them kept."""
+    cells = [np.arange(2**c) * 4.0 / 2**c - 2.0 for c in halvings]
+    widths = np.array([4.0 / 2**c for c in halvings])
+    lo = np.stack(np.meshgrid(*cells, indexing="ij"), axis=-1).reshape(-1, len(cells))
+    lo = lo[rng.random(lo.shape[0]) < 0.7]
+    hi = lo + widths
+    hi[:, 0] = lo[:, 0] + widths[0] / 2
+    return lo, hi
+
+
 def _reference_erf_evals(lo, hi, pairs):
     """erfs the reference evaluates: one per distinct edge of each chunk,
     axis and unique pair."""
@@ -199,8 +212,11 @@ def _reference_erf_evals(lo, hi, pairs):
     st.sampled_from(["level", "decimal"]),
     st.booleans(),
     st.integers(1, 12),
+    st.integers(1, 5),
 )
-def test_batches_match_the_reference_bit_for_bit(seed, d, m, kind, edit, chunk_boxes):
+def test_batches_match_the_reference_bit_for_bit(
+    seed, d, m, kind, edit, chunk_boxes, block_boxes
+):
     model = random_model(seed, d, m)
     rng = np.random.default_rng(seed)
     if kind == "level":
@@ -221,8 +237,11 @@ def test_batches_match_the_reference_bit_for_bit(seed, d, m, kind, edit, chunk_b
     pairs = m * (m + 1) // 2
     with pytest.MonkeyPatch.context() as patch:
         # a few boxes per chunk: several chunks, and tables for all of
-        # a batch's intervals overflow the budget, so runs are split
+        # a batch's intervals overflow the budget, so runs are split;
+        # fewer boxes per block, so chunks hold several blocks and may
+        # end in a ragged one
         patch.setattr(integration, "_CHUNK_ELEMS", chunk_boxes * pairs)
+        patch.setattr(integration, "_BLOCK_ELEMS", block_boxes * pairs)
         acct, ref_acct = IntegralAccounting(), IntegralAccounting()
         vals = integrate_boxes(model, lo, hi, acct)
         ref = integrate_boxes_reference(model, lo, hi, ref_acct)
@@ -264,6 +283,30 @@ def test_interval_tables_stay_within_the_chunk_budget(d):
     assert acct.erf_evals == _reference_erf_evals(lo, hi, 820)
     if d == 1:
         assert acct.erf_evals == (2**14 + 14) * 820
+
+
+def test_level_batches_walk_blocks_within_the_chunk_budget():
+    # pipeline-5d's shape: m = 50 (1275 unique pairs, 784 boxes per chunk,
+    # 25 per block), d = 5 and a sampler level of about 10^4 boxes whose
+    # tables fit the budget, so every chunk walks its blocks through all
+    # five kept tables
+    model = random_model(19, d=5, m=50)
+    lo, hi = _grid_level(np.random.default_rng(20), (3, 3, 3, 3, 2))
+    assert 9_000 < lo.shape[0] < 14_000
+    ref = integrate_boxes_reference(model, lo, hi)
+    acct = IntegralAccounting()
+    tracemalloc.start()
+    try:
+        vals = integrate_boxes(model, lo, hi, acct)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # well inside the call's budget of 7 * 8 * _CHUNK_ELEMS bytes: the
+    # chunk's product rows are the one array of _CHUNK_ELEMS, and later
+    # axes gather into a block-sized buffer, not a second chunk
+    assert peak < 2 * 8 * integration._CHUNK_ELEMS
+    assert vals.tobytes() == ref.tobytes()
+    assert acct.erf_evals <= _reference_erf_evals(lo, hi, 1275)
 
 
 def test_additivity_under_box_split():
