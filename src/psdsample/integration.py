@@ -12,18 +12,19 @@ closed form of a finite box has 2 * d * m^2 erf terms; infinite endpoints
 substitute erf(+-inf) = +-1 and are not counted.  ``erf_calls`` reports
 that term count, which the tests pin, not the erfs actually evaluated.
 The evaluation does less work.  The (i, j) and (j, i) terms are
-identical, so each unique pair is evaluated once.  A batch of boxes
-finds the distinct edges and (lower, upper) intervals of each axis,
-evaluates erf(s (edge - mid)) once per distinct edge and unique pair,
-and tabulates their difference erf(s (hi - mid)) - erf(s (lo - mid))
-per interval; each box then gathers one table row per axis and
-multiplies it into its pair products.  Bisected boxes share few
-intervals per axis (a sampler level has at most 2^c on an axis halved
-c times), so the tables are small; ``erf_evals`` counts the erfs taken.
-The products fill a chunk of boxes by pairs, reduced by one product
-with the pair weights, a block of rows at a time: while the tables fit
-the memory budget, each block gathers and multiplies all d axes before
-the next one starts, so it and its gather buffer stay in cache.
+identical, so each unique pair is evaluated once.  Each axis of a set of
+boxes has distinct edges and (lower, upper) intervals; erf(s (edge - mid))
+is evaluated once per distinct edge and unique pair, and their
+difference erf(s (hi - mid)) - erf(s (lo - mid)) is tabulated per
+interval.  Each box gathers one table row per axis and multiplies it
+into its pair products; ``erf_evals`` counts the erfs taken.  The
+products fill a chunk of boxes by pairs, reduced by one product with the
+pair weights.  A call works in one of two ways.  If the tables of the
+whole call fit the memory budget, as those of sampler levels and dyadic
+leaf sets mostly do (a level has at most 2^c intervals on an axis halved
+c times), they are built once, and each block of a chunk's rows gathers
+and multiplies all d axes while it is in cache.  Otherwise each chunk
+tabulates its own boxes one axis at a time, with one table alive.
 
 A rank-one model is integrated through its cached full form
 (``RankOneModel.to_psd``).  The squared model's Gram comes from one
@@ -38,7 +39,6 @@ and ``quartic_gram`` expands that to the full (m^2, m^2) tensor by index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise, product
 
 import numpy as np
 from numpy.typing import NDArray
@@ -62,25 +62,23 @@ __all__ = [
 # elements per chunk array when batching erf over boxes and pairs; 8 MB
 # arrays ran integrate_boxes twice as fast as 32 MB ones on a 2-core Xeon.
 # Each chunk ends in one acc @ w, whose rounding may depend on its shape,
-# so chunk boundaries never move.  integrate_boxes' interval tables of all
-# axes share the same budget: a batch with more distinct intervals is cut
-# into runs of whole chunks that build tables of their own, down to one
-# chunk, whose b boxes have at most b intervals per axis.  A run whose
-# tables fit keeps all d of them; a one-chunk run whose tables overflow
-# builds and drops them one axis at a time.  With the chunk's product
-# rows, the tables, the erf rows behind the table being built (up to two
-# edges per interval) and a gather temporary, a call peaks near five
-# arrays of this size whatever the batch and d, besides its edge and
-# interval indices, which are as long as the corner arrays.
+# so chunk boundaries never move.  integrate_boxes' interval tables share
+# the budget: the call's tables of all d axes are kept if they fit it, and
+# otherwise each chunk, whose b boxes have at most b intervals per axis,
+# builds one axis' table at a time.  With the chunk's product rows, the
+# table, the erf rows behind it (up to two edges per interval) and a
+# gather temporary, a call peaks near five arrays of this size whatever
+# the batch and d, besides its edge and interval indices, which are as
+# long as the corner arrays.
 _CHUNK_ELEMS = 1_000_000
 # elements per block of a chunk's product rows, and of the one row
-# buffer that later axes gather into.  In a run whose tables fit, each
+# buffer that later axes gather into.  With the call's tables kept, each
 # block takes the first axis' table rows, then gathers and multiplies in
 # each later axis before the next block starts, so block and buffer stay
 # in L2 across all d axes instead of making 2d - 1 passes over a chunk.
 # On a Xeon with 2 MB of L2 per core, 256 KB blocks ran pipeline-5d's
-# level batches 5-15% faster than 128 or 512 KB ones.  A one-chunk run
-# whose tables overflow gathers one axis over all blocks, then the next.
+# level batches 5-15% faster than 128 or 512 KB ones.  A chunk with
+# tables of its own gathers one axis over all its blocks, then the next.
 _BLOCK_ELEMS = 2**15
 
 
@@ -91,8 +89,9 @@ class IntegralAccounting:
     ``integral_evals`` counts box integrals.  ``erf_calls`` counts the
     closed form's erf terms at finite bounds, 2 * d * m^2 per finite box.
     ``erf_evals`` counts the erfs actually evaluated: one per distinct
-    edge per axis and unique pair of each run of boxes that shares
-    tables, infinite edges included.  All three only ever grow.
+    edge per axis and unique pair of each call whose tables fit the
+    memory budget, or else of each chunk, infinite edges included.  All
+    three only ever grow.
     """
 
     integral_evals: int = 0
@@ -111,8 +110,8 @@ def _intervals(lo, hi):
     Returns the sorted distinct edges, each interval's lower and upper
     edge index into them, and each box's interval index.  Sampler levels
     and dyadic leaf sets pair every lower edge with one upper edge, so
-    one sort of the lower edges finds the intervals; any other batch
-    falls back to a sort of (lower, upper) edge index keys.
+    one sort of the lower edges finds the intervals; in any other batch
+    each box keeps an interval of its own.
     """
     lo_u, inv = np.unique(lo, return_inverse=True)
     hi_u = np.empty_like(lo_u)
@@ -121,36 +120,7 @@ def _intervals(lo, hi):
         edges, idx = np.unique(np.concatenate((lo_u, hi_u)), return_inverse=True)
         return edges, idx[: lo_u.size], idx[lo_u.size :], inv
     edges, idx = np.unique(np.concatenate((lo_u, hi)), return_inverse=True)
-    lo_idx, hi_idx = idx[: lo_u.size][inv], idx[lo_u.size :]
-    _, first, inv = np.unique(
-        lo_idx * edges.size + hi_idx, return_index=True, return_inverse=True
-    )
-    return edges, lo_idx[first], hi_idx[first], inv
-
-
-def _distinct(ids, scratch):
-    """Distinct values of the integers ``ids`` and each entry's index
-    into them, in linear time; ``scratch`` must be longer than the
-    largest id.  Which of a repeated id's entries wins the scatter does
-    not matter: every entry reads the same winner back."""
-    at = np.arange(ids.size)
-    scratch[ids] = at
-    rep = scratch[ids]
-    first = np.flatnonzero(rep == at)
-    index = np.empty(ids.size, dtype=np.intp)
-    index[first] = np.arange(first.size)
-    return ids[first], index[rep]
-
-
-def _run_axis(axis, first, last):
-    """The edges and intervals of one axis that boxes first:last use,
-    indexed afresh, from the call's sorted ones."""
-    edges, lo_idx, hi_idx, inv = axis
-    scratch = np.empty(max(edges.size, lo_idx.size), dtype=np.intp)
-    rows, inv = _distinct(inv[first:last], scratch)
-    lo_idx, hi_idx = lo_idx[rows], hi_idx[rows]
-    used, ends = _distinct(np.concatenate((lo_idx, hi_idx)), scratch)
-    return edges[used], ends[: rows.size], ends[rows.size :], inv
+    return edges, idx[: lo_u.size][inv], idx[lo_u.size :], np.arange(hi.size)
 
 
 def _interval_table(edges, lo_idx, hi_idx, mid_k, s_k):
@@ -162,6 +132,20 @@ def _interval_table(edges, lo_idx, hi_idx, mid_k, s_k):
     table = rows.take(hi_idx, axis=0)
     table -= rows.take(lo_idx, axis=0)
     return table
+
+
+def _multiply_rows(dst, table, idx, first, buf):
+    """Gather the table rows ``idx`` into ``dst`` for the first axis, or
+    multiply them in through ``buf``, which has at least as many rows.
+    The indices are in range, and take's default mode="raise" would copy
+    through a temporary."""
+    if first:
+        # the first axis' rows start the product (1.0 * x is x)
+        table.take(idx, axis=0, out=dst, mode="clip")
+    else:
+        row = buf[: len(dst)]
+        table.take(idx, axis=0, out=row, mode="clip")
+        dst *= row
 
 
 def integrate_boxes(
@@ -198,60 +182,40 @@ def integrate_boxes(
     step = max(1, _CHUNK_ELEMS // max(1, n_pairs))
     block = min(step, max(1, _BLOCK_ELEMS // max(1, n_pairs)))
     # A chunk and a block buffer per call, filled in place: fresh multi-MB
-    # temporaries for every chunk cost a page fault per 4 KB page.  The
-    # indices are in range, and take's default mode="raise" would copy
-    # through a temporary.
+    # temporaries for every chunk cost a page fault per 4 KB page.
     acc_buf = np.empty((min(step, B), n_pairs))
     row_buf = np.empty((min(block, B), n_pairs))
+    axes = [_intervals(lowers[:, k], uppers[:, k]) for k in range(d)]
+    shared = sum(axis[1].size for axis in axes) * n_pairs <= _CHUNK_ELEMS
     evals = 0
-    call_axes = [_intervals(lowers[:, k], uppers[:, k]) for k in range(d)]
-    runs = [(0, B)]
-    while runs:
-        first, last = runs.pop()
-        if (first, last) == (0, B):
-            axes = call_axes
+    if shared:
+        # the call's tables fit the budget: build them once for all chunks
+        evals = sum(axis[0].size for axis in axes) * n_pairs
+        tables = [
+            (_interval_table(edges, lo_idx, hi_idx, mid[:, k], s[k]), inv)
+            for k, (edges, lo_idx, hi_idx, inv) in enumerate(axes)
+        ]
+    for start in range(0, B, step):
+        stop = min(B, start + step)
+        acc = acc_buf[: stop - start]
+        blocks = [slice(b0, b0 + block) for b0 in range(0, stop - start, block)]
+        if shared:
+            # each block of rows takes all d axes while it is in cache
+            chunk = [(table, inv[start:stop]) for table, inv in tables]
+            for rows in blocks:
+                dst = acc[rows]
+                for k, (table, inv) in enumerate(chunk):
+                    _multiply_rows(dst, table, inv[rows], k == 0, row_buf)
         else:
-            axes = [_run_axis(axis, first, last) for axis in call_axes]
-        rows = sum(axis[1].size for axis in axes)
-        fits = rows * n_pairs <= _CHUNK_ELEMS
-        if not fits and last - first > step:
-            # Halve the run at a chunk boundary.  The chunks stay as they
-            # are, and so does the shape of each chunk's acc @ w, whose
-            # rounding may depend on it.
-            chunks = -(-(last - first) // step)
-            cut = first + chunks // 2 * step
-            runs += [(cut, last), (first, cut)]
-            continue
-        evals += sum(axis[0].size for axis in axes) * n_pairs
-        # Tables that fit stay alive, and each block of product rows
-        # takes all d axes while it is in cache.  A lone chunk whose tables
-        # overflow takes one axis over all its blocks, with one table alive.
-        tables = [None] * d
-        for start in range(first, last, step):
-            stop = min(last, start + step)
-            acc = acc_buf[: stop - start]
-            blocks = [
-                (acc[b0 - start : b1 - start], slice(b0 - first, b1 - first))
-                for b0, b1 in pairwise([*range(start, stop, block), stop])
-            ]
-            order = product(blocks, range(d)) if fits else (
-                (blk, k) for k in range(d) for blk in blocks
-            )
-            for (dst, boxes), k in order:
-                if tables[k] is None:
-                    if not fits:
-                        tables = [None] * d  # drop the last axis' table
-                    edges, lo_idx, hi_idx, _ = axes[k]
-                    tables[k] = _interval_table(edges, lo_idx, hi_idx, mid[:, k], s[k])
-                idx = axes[k][3][boxes]
-                if k:
-                    row = row_buf[: len(dst)]
-                    tables[k].take(idx, axis=0, out=row, mode="clip")
-                    dst *= row
-                else:
-                    # the first axis' rows start the product (1.0 * x is x)
-                    tables[k].take(idx, axis=0, out=dst, mode="clip")
-            out[start:stop] = acc @ w
+            lo, hi = lowers[start:stop], uppers[start:stop]
+            for k in range(d):
+                edges, lo_idx, hi_idx, inv = _intervals(lo[:, k], hi[:, k])
+                evals += edges.size * n_pairs
+                table = _interval_table(edges, lo_idx, hi_idx, mid[:, k], s[k])
+                for rows in blocks:
+                    _multiply_rows(acc[rows], table, inv[rows], k == 0, row_buf)
+                del table  # one table alive while the next is built
+        out[start:stop] = acc @ w
     if acct is not None:
         # The counter reports the closed form's term count: one erf per
         # pair (i, j) per finite bound, even though symmetric duplicates

@@ -67,8 +67,9 @@ class GaussianPsdModel:
     eta : (d,) array_like
         Positive per-coordinate precisions.
     rank_one_a : (m,) array_like, optional
-        If A factors as a a^T, the vector a.  Carried along so rank-one
-        specific bounds stay available after conversion.
+        If A factors as a a^T, the vector a, checked against A up to
+        roundoff.  Carried along so rank-one specific bounds stay
+        available after conversion.
     """
 
     A: NDArray[np.float64]
@@ -104,6 +105,8 @@ class GaussianPsdModel:
             a = np.asarray(a, dtype=float)
             if a.shape != (m,) or not np.all(np.isfinite(a)):
                 raise ValueError("rank_one_a must be a finite length-m vector")
+            if np.abs(A - np.outer(a, a)).max() > 1e-10 * scale:
+                raise ValueError("A must equal outer(rank_one_a, rank_one_a)")
             a.setflags(write=False)
         for arr in (A, X, eta):
             arr.setflags(write=False)

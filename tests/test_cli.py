@@ -11,6 +11,7 @@ from psdsample.models import (
     GaussianPsdModel,
     RankOneModel,
     load_model,
+    model_to_dict,
     save_model,
 )
 
@@ -475,6 +476,13 @@ ERROR_CASES = {
          "paths": {"model": "full.json"}},
         2, "hellinger leaf size needs a rank-one model",
     ),
+    "sample-rank-one-mismatch": (
+        ["sample", "--eps", "0.1", "--metric", "hellinger"],
+        {"domain": DOMAIN_1D, "sampler": {"n_samples": 5},
+         "paths": {"model": "mismatch.json"}},
+        2, "cannot load model {out}/mismatch.json: "
+        "A must equal outer(rank_one_a, rank_one_a)",
+    ),
     "sample-dimension": (
         ["sample"], {"domain": DOMAIN_2D, "sampler": {"n_samples": 5, "rho": 0.5}},
         2, "domain has dimension 2, model has 1",
@@ -624,6 +632,9 @@ def test_error_paths_print_one_line_and_exit_code(
         A=np.eye(2), X=np.array([[-1.0], [1.0]]), eta=np.array([1.0])
     )
     save_model(full, str(tmp_path / "full.json"))
+    # full's A with a rank-one vector that does not factor it
+    mismatch = {**model_to_dict(full), "rank_one_a": [1.0, 0.0]}
+    (tmp_path / "mismatch.json").write_text(json.dumps(mismatch))
     (tmp_path / "draws.csv").write_text("0.0\n1.0\n")
     (tmp_path / "nonfinite.csv").write_text("0.0\nnan\n")
     cfg = write_config(tmp_path / "cfg.json", data)

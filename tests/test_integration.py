@@ -204,6 +204,14 @@ def _reference_erf_evals(lo, hi, pairs):
     )
 
 
+def _call_erf_evals(lo, hi, pairs):
+    """erfs of one set of tables for the whole call: one per distinct
+    edge of each axis and unique pair."""
+    return pairs * sum(
+        np.unique(np.concatenate((lo[:, k], hi[:, k]))).size for k in range(lo.shape[1])
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -237,7 +245,8 @@ def test_batches_match_the_reference_bit_for_bit(
     pairs = m * (m + 1) // 2
     with pytest.MonkeyPatch.context() as patch:
         # a few boxes per chunk: several chunks, and tables for all of
-        # a batch's intervals overflow the budget, so runs are split;
+        # a batch's intervals overflow the budget, so each chunk builds
+        # tables of its own;
         # fewer boxes per block, so chunks hold several blocks and may
         # end in a ragged one
         patch.setattr(integration, "_CHUNK_ELEMS", chunk_boxes * pairs)
@@ -255,8 +264,8 @@ def test_batches_match_the_reference_bit_for_bit(
 def test_interval_tables_stay_within_the_chunk_budget(d):
     # m = 40 (820 unique pairs), 1219 boxes per chunk.  d = 1: 2^14
     # adjacent leaf intervals; d = 5: 2^13 random boxes, every interval
-    # and edge distinct, so a one-chunk run tabulates 1219 intervals over
-    # 2438 edges on each axis.
+    # and edge distinct, so each chunk tabulates its own 1219 intervals
+    # over 2438 edges on each axis.
     model = random_model(17, d=d, m=40)
     if d == 1:
         edges = -3.0 + 6.0 * np.arange(2**14 + 1) / 2**14
@@ -273,13 +282,13 @@ def test_interval_tables_stay_within_the_chunk_budget(d):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Two chunk buffers, one table, the erf rows of its up to twice as
-    # many edges and a gather temporary: six arrays of _CHUNK_ELEMS
-    # doubles whatever d, where d tables kept at once would take d + 5
-    # and unbounded tables 340 MB.
+    # The chunk's product rows, one table, the erf rows of its up to
+    # twice as many edges and a gather temporary: five arrays of
+    # _CHUNK_ELEMS doubles whatever d, where d tables kept at once would
+    # take d + 4 and unbounded tables 340 MB.
     assert peak < 7 * 8 * integration._CHUNK_ELEMS
     assert vals.tobytes() == ref.tobytes()
-    # every run is one chunk, with the reference's distinct edges
+    # each chunk has tables of its own, over the reference's distinct edges
     assert acct.erf_evals == _reference_erf_evals(lo, hi, 820)
     if d == 1:
         assert acct.erf_evals == (2**14 + 14) * 820
@@ -307,6 +316,53 @@ def test_level_batches_walk_blocks_within_the_chunk_budget():
     assert peak < 2 * 8 * integration._CHUNK_ELEMS
     assert vals.tobytes() == ref.tobytes()
     assert acct.erf_evals <= _reference_erf_evals(lo, hi, 1275)
+    # one set of tables for the call
+    assert acct.erf_evals == _call_erf_evals(lo, hi, 1275)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(4, 12),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_batches_match_cubature_in_both_regimes(seed, d, m, n_free, chunk_boxes, share):
+    # A sampler-like level and free random boxes, shuffled together; all
+    # within a few length scales of the centers, where the erf
+    # differences keep their relative accuracy.
+    model = random_model(seed, d, m)
+    rng = np.random.default_rng(seed)
+    level_lo, level_hi = _level_batch(rng, d)
+    free_lo = rng.uniform(-2.5, 1.0, size=(n_free, d))
+    free_hi = free_lo + rng.uniform(0.0, 2.5, size=(n_free, d))
+    if share:
+        # a free box's lower corner meets a level box's lower corner with
+        # another upper corner, so the axes fall back to a box per interval
+        free_lo[0] = level_lo[0]
+        free_hi[0] = level_lo[0] + rng.uniform(0.1, 2.5, size=d)
+    order = rng.permutation(level_lo.shape[0] + n_free)
+    lo = np.concatenate((level_lo, free_lo))[order]
+    hi = np.concatenate((level_hi, free_hi))[order]
+    check = rng.choice(lo.shape[0], size=min(4, lo.shape[0]), replace=False)
+    panels = 8 if d < 3 else 4
+    oracle = np.array([gl_box_integral(model.evaluate, lo[i], hi[i], panels) for i in check])
+    pairs = m * (m + 1) // 2
+    acct = IntegralAccounting()
+    vals = integrate_boxes(model, lo, hi, acct)
+    # these batches' tables fit the default budget: one set for the call
+    assert acct.erf_evals == _call_erf_evals(lo, hi, pairs)
+    assert np.allclose(vals[check], oracle, rtol=1e-10, atol=1e-13)
+    with pytest.MonkeyPatch.context() as patch:
+        # chunks of at most three boxes, fewer than the n_free > 3
+        # distinct intervals of the first axis: each chunk has its own
+        patch.setattr(integration, "_CHUNK_ELEMS", chunk_boxes * pairs)
+        acct = IntegralAccounting()
+        vals = integrate_boxes(model, lo, hi, acct)
+        assert acct.erf_evals == _reference_erf_evals(lo, hi, pairs)
+    assert np.allclose(vals[check], oracle, rtol=1e-10, atol=1e-13)
 
 
 def test_additivity_under_box_split():

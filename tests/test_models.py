@@ -91,6 +91,23 @@ def test_rejects_asymmetric_and_indefinite_coefficients():
         GaussianPsdModel(A=np.array([[1.0, 2.0], [2.0, 1.0]]), X=X, eta=eta)
 
 
+def test_rejects_rank_one_vector_that_does_not_factor_a():
+    # A = I is not a a^T for a = (1, 0), whose Hellinger constant would
+    # describe another model
+    doc = {
+        "format_version": 1, "A": [[1, 0], [0, 1]], "X": [[-1], [1]],
+        "eta": [1], "rank_one_a": [1, 0],
+    }
+    with pytest.raises(ValueError, match="rank_one_a"):
+        model_from_dict(doc)
+    # exact outer products and ones off by roundoff still load
+    a = np.array([0.3, -1.7])
+    X, eta = np.array([[-1.0], [1.0]]), np.array([2.0])
+    for A in (np.outer(a, a), np.outer(a, a) * (1.0 + 1e-13)):
+        model = GaussianPsdModel(A=A, X=X, eta=eta, rank_one_a=a)
+        assert np.array_equal(model.rank_one_a, a)
+
+
 def test_repair_projects_indefinite_coefficients():
     X = np.array([[0.0], [1.0]])
     model = GaussianPsdModel(
