@@ -7,8 +7,9 @@ command runs ``experiment.run_benchmark``; this module only parses
 configs and writes outputs.
 
 Relative paths in the config's "paths" section resolve under ``--out``;
-absolute paths are used as given.  All JSON output is written with
-sorted keys so reruns are byte-identical.
+absolute paths are used as given.  Every JSON report carries
+``format_version``, ``command`` and ``seed`` and is written with sorted
+keys, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -21,7 +22,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,93 +55,63 @@ class ConfigError(Exception):
 _CONFIG_KEYS = ("density", "domain", "fit", "sampler", "metric", "benchmark", "paths")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment's settings, kept in JSON-primitive form.
+def _domain_box(cfg: dict) -> Optional[HyperRectangle]:
+    domain = cfg.get("domain")
+    if domain is None:
+        return None
+    try:
+        lower = np.asarray(domain["lower"], dtype=float)
+        upper = np.asarray(domain["upper"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad domain section: {exc}") from None
+    try:
+        return HyperRectangle(lower, upper)
+    except ValueError as exc:
+        raise ConfigError(f"bad domain: {exc}") from None
 
-    Sections stay as plain dicts so the config round-trips through
-    ``to_dict``/``from_dict`` without loss; typed objects are built on
-    demand by the command handlers.
-    """
 
-    density: Optional[str] = None
-    domain: Optional[dict] = None
-    fit: Optional[dict] = None
-    sampler: Optional[dict] = None
-    metric: Optional[dict] = None
-    benchmark: Optional[dict] = None
-    paths: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(data) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            density=data.get("density"),
-            domain=data.get("domain"),
-            fit=data.get("fit"),
-            sampler=data.get("sampler"),
-            metric=data.get("metric"),
-            benchmark=data.get("benchmark"),
-            paths=data.get("paths", {}),
-        )
-
-    def to_dict(self) -> dict:
-        out = {}
-        for key in _CONFIG_KEYS[:-1]:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.paths:
-            out["paths"] = self.paths
-        return out
-
-    def domain_box(self) -> Optional[HyperRectangle]:
-        if self.domain is None:
-            return None
-        try:
-            lower = np.asarray(self.domain["lower"], dtype=float)
-            upper = np.asarray(self.domain["upper"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad domain section: {exc}") from None
-        try:
-            return HyperRectangle(lower, upper)
-        except ValueError as exc:
-            raise ConfigError(f"bad domain: {exc}") from None
-
-    def target(self) -> TargetDensity:
-        if self.density is None:
-            raise ConfigError("config needs a 'density' name")
-        try:
-            return get_density(self.density)
-        except KeyError:
-            known = ", ".join(list_densities())
-            raise ConfigError(
-                f"unknown density {self.density!r}; known: {known}"
-            ) from None
+def _target(cfg: dict) -> TargetDensity:
+    name = cfg.get("density")
+    if name is None:
+        raise ConfigError("config needs a 'density' name")
+    try:
+        return get_density(name)
+    except KeyError:
+        known = ", ".join(list_densities())
+        raise ConfigError(f"unknown density {name!r}; known: {known}") from None
 
 
 def _box_dict(box: HyperRectangle) -> dict:
     return {"lower": box.lower.tolist(), "upper": box.upper.tolist()}
 
 
-def _load_json(path: str) -> dict:
+def _load_config(path: str) -> dict:
+    """The config file as a dict of known sections; "paths" defaults to {}."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(cfg) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    cfg.setdefault("paths", {})
+    if not isinstance(cfg["paths"], dict):
+        raise ConfigError("config section 'paths' must be an object")
+    return cfg
 
 
-def _dump_json(path: str, payload: dict) -> None:
+def _write_report(args: argparse.Namespace, path: str, fields: dict) -> None:
+    """A JSON report: the command's ``fields`` under the shared header."""
+    report = {"format_version": REPORT_FORMAT_VERSION, "command": args.command,
+              "seed": args.seed, **fields}
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -152,16 +122,14 @@ def _resolve(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _config_path(
-    args: argparse.Namespace, cfg: ExperimentConfig, key: str, default: str
-) -> str:
-    name = cfg.paths.get(key, default)
+def _config_path(args: argparse.Namespace, cfg: dict, key: str, default: str) -> str:
+    name = cfg["paths"].get(key, default)
     if not isinstance(name, str):
         raise ConfigError(f"paths.{key} must be a string")
     return _resolve(args.out, name)
 
 
-def _load_model(args: argparse.Namespace, cfg: ExperimentConfig):
+def _load_model(args: argparse.Namespace, cfg: dict):
     model_path = _config_path(args, cfg, "model", "model.json")
     try:
         return load_model(model_path)
@@ -174,12 +142,13 @@ def _check_dim(box: HyperRectangle, model) -> None:
         raise ConfigError(f"domain has dimension {box.dim}, model has {model.d}")
 
 
-def _section(cfg_section: Optional[dict], name: str) -> dict:
-    if cfg_section is None:
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name)
+    if section is None:
         raise ConfigError(f"config needs a '{name}' section")
-    if not isinstance(cfg_section, dict):
+    if not isinstance(section, dict):
         raise ConfigError(f"config section '{name}' must be an object")
-    return cfg_section
+    return section
 
 
 def _convert(value, kind, label: str):
@@ -202,9 +171,9 @@ def _get_number(section: dict, name: str, key: str, kind=float):
     return _convert(section[key], kind, f"{name}.{key}")
 
 
-def cmd_fit(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    target = cfg.target()
-    section = _section(cfg.fit, "fit")
+def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
+    target = _target(cfg)
+    section = _section(cfg, "fit")
     fit_cfg = FitConfig(
         n=_get_number(section, "fit", "n", int),
         m=_get_number(section, "fit", "m", int),
@@ -218,7 +187,6 @@ def cmd_fit(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         if taus or lams:
             raise ConfigError("holdout grids are only supported for rank-one fits")
         model, report = fit_psd(target.oracle("nonnegative"), fit_cfg)
-        model_obj = model
     else:
         oracle = target.oracle("linear")
         if taus or lams:
@@ -227,34 +195,30 @@ def cmd_fit(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             model, report = fit_rank_one_holdout(oracle, fit_cfg, taus, lams)
         else:
             model, report = fit_rank_one(oracle, fit_cfg)
-        model_obj = model.to_psd()
 
     model_path = _config_path(args, cfg, "model", "model.json")
     report_path = _config_path(args, cfg, "report", "fit_report.json")
     os.makedirs(os.path.dirname(model_path) or ".", exist_ok=True)
-    save_model(model_obj, model_path)
-    _dump_json(report_path, {
-        "format_version": REPORT_FORMAT_VERSION,
-        "command": "fit",
+    save_model(model, model_path)
+    _write_report(args, report_path, {
         "density": target.name,
         "mode": "psd" if args.psd else "rank_one",
-        "seed": args.seed,
         "fit": report.to_dict(),
-        "model_path": cfg.paths.get("model", "model.json"),
+        "model_path": cfg["paths"].get("model", "model.json"),
     })
     print(f"wrote model to {model_path}")
     return 0
 
 
-def cmd_sample(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    section = _section(cfg.sampler, "sampler")
+def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
+    section = _section(cfg, "sampler")
     model = _load_model(args, cfg)
 
     find_support_requested = bool(
         args.find_support or section.get("find_support", False)
     )
     support_info = None
-    box = cfg.domain_box()
+    box = _domain_box(cfg)
     if box is not None:
         _check_dim(box, model)
     if box is None or not box.is_bounded():
@@ -299,9 +263,6 @@ def cmd_sample(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
     budget = integral_budget(box, run.rho_used, n_samples)
     report = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "command": "sample",
-        "seed": args.seed,
         "n_samples": n_samples,
         "rho_used": run.rho_used,
         "domain": _box_dict(box),
@@ -311,14 +272,14 @@ def cmd_sample(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         "integral_budget": budget,
         "bound_satisfied": bool(run.accounting.integral_evals <= budget),
         "leaf_count": run.leaf_count,
-        "samples_path": cfg.paths.get("samples", "samples.csv"),
+        "samples_path": cfg["paths"].get("samples", "samples.csv"),
     }
     if eps is not None:
         report["eps"] = eps
         report["metric"] = metric
     if support_info is not None:
         report["support"] = support_info
-    _dump_json(report_path, report)
+    _write_report(args, report_path, report)
     print(f"wrote {n_samples} samples to {samples_path}")
     return 0
 
@@ -336,36 +297,32 @@ def _as_path_list(paths: dict, key: str) -> list:
     raise ConfigError(f"paths.{key} must be a path or list of paths")
 
 
-def cmd_evaluate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    metric = _section(cfg.metric, "metric")
+def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
+    metric = _section(cfg, "metric")
     name = metric.get("name")
     report_path = _config_path(args, cfg, "report", "evaluate_report.json")
 
     if name == "exact":
         model = _load_model(args, cfg)
-        box = cfg.domain_box()
+        box = _domain_box(cfg)
         if box is None or not box.is_bounded():
             raise ConfigError("exact distances need a bounded domain")
         _check_dim(box, model)
         rho = _get_number(metric, "metric", "rho")
         tol = _convert(metric.get("tol", 1e-9), float, "metric.tol")
         distances = exact_distances(model, box, rho, tol=tol)
-        payload = {
-            "format_version": REPORT_FORMAT_VERSION,
-            "command": "evaluate",
+        _write_report(args, report_path, {
             "metric": "exact",
-            "seed": args.seed,
             "domain": _box_dict(box),
-        }
-        payload.update(dataclasses.asdict(distances))
-        _dump_json(report_path, payload)
+            **dataclasses.asdict(distances),
+        })
         print(f"wrote exact-distance report to {report_path}")
         return 0
 
     if name == "mmd":
         eta = _convert(metric.get("eta", 2.0), float, "metric.eta")
-        p_paths = _as_path_list(cfg.paths, "samples_p")
-        q_paths = _as_path_list(cfg.paths, "samples_q")
+        p_paths = _as_path_list(cfg["paths"], "samples_p")
+        q_paths = _as_path_list(cfg["paths"], "samples_q")
         reps = max(len(p_paths), len(q_paths))
         if len(p_paths) == 1:
             p_paths = p_paths * reps
@@ -395,11 +352,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             values.append(metrics._mmd(P, Q, eta, self_sum(p_path), self_sum(q_path)))
         mean = float(np.mean(values))
         sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-        _dump_json(report_path, {
-            "format_version": REPORT_FORMAT_VERSION,
-            "command": "evaluate",
+        _write_report(args, report_path, {
             "metric": "mmd",
-            "seed": args.seed,
             "eta": eta,
             "repetitions": len(values),
             "values": values,
@@ -436,9 +390,9 @@ _BENCHMARK_KEYS = {
 }
 
 
-def cmd_benchmark(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    target = cfg.target()
-    section = _section(cfg.benchmark, "benchmark")
+def cmd_benchmark(args: argparse.Namespace, cfg: dict) -> int:
+    target = _target(cfg)
+    section = _section(cfg, "benchmark")
     budgets = section.get("budgets")
     if not isinstance(budgets, list) or not budgets:
         raise ConfigError("benchmark.budgets must be a non-empty list")
@@ -458,13 +412,7 @@ def cmd_benchmark(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     table_path = _config_path(args, cfg, "table", "benchmark.csv")
     report_path = _config_path(args, cfg, "report", "benchmark_report.json")
     write_benchmark_csv(rows, table_path)
-    _dump_json(report_path, {
-        "format_version": REPORT_FORMAT_VERSION,
-        "command": "benchmark",
-        "density": target.name,
-        "seed": args.seed,
-        "rows": rows,
-    })
+    _write_report(args, report_path, {"density": target.name, "rows": rows})
     print(f"wrote benchmark table to {table_path}")
     return 0
 
@@ -521,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_dict(_load_json(args.config))
+        cfg = _load_config(args.config)
         return args.handler(args, cfg)
     except PsdSampleError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

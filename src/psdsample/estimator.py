@@ -33,7 +33,7 @@ deterministic designs or tied centers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import log
 
 import numpy as np
@@ -162,20 +162,7 @@ class FitReport:
     gradient_mapping: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "kind": self.kind,
-            "config": self.config,
-            "residual": self.residual,
-            "rhs_norm": self.rhs_norm,
-            "jitter": self.jitter,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "objective_trace": self.objective_trace,
-            "holdout": self.holdout,
-            "start": self.start,
-            "gradient_mapping": self.gradient_mapping,
-        }
+        return {"format_version": 1, **asdict(self)}
 
 
 def _uniform_in(rng, box: HyperRectangle, count: int) -> NDArray[np.float64]:

@@ -32,6 +32,7 @@ Identical seed and inputs reproduce the run bit for bit.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,4 +237,7 @@ def write_samples_csv(samples, path) -> None:
 
 
 def read_samples_csv(path) -> NDArray[np.float64]:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """The rows of a samples CSV; an empty file gives a (0, 1) array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",", ndmin=2)

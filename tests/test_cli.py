@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from psdsample.boxes import HyperRectangle
-from psdsample.cli import ExperimentConfig, ConfigError, derive_seed, main, run_benchmark
+from psdsample.cli import derive_seed, main, run_benchmark
 from psdsample.densities import TargetDensity, get_density, register_density
 from psdsample.metrics import empirical_mmd
 from psdsample.models import (
@@ -50,24 +50,6 @@ def sample_config(**sampler):
     return cfg
 
 
-def test_config_round_trip_is_lossless():
-    cfg = ExperimentConfig(
-        density="gaussian-well-1d",
-        domain={"lower": [-4.0], "upper": [4.0]},
-        fit={"n": 100, "m": 5, "tau": 1.0, "lambda": 1e-6},
-        sampler={"n_samples": 10, "rho": 0.5},
-        paths={"model": "m.json"},
-    )
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-
-
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"density": "x", "typo_section": {}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(["not", "an", "object"])
-
-
 def test_derived_seeds_are_stable_and_distinct():
     assert derive_seed(7, 0) == derive_seed(7, 0)
     assert derive_seed(7, 0) != derive_seed(7, 1)
@@ -87,6 +69,38 @@ def test_fit_writes_model_and_report(tmp_path):
     assert report["mode"] == "rank_one"
     assert report["seed"] == 5
     assert report["fit"]["config"]["seed"] == derive_seed(5, 0)
+
+
+def test_every_report_carries_version_command_and_seed(tmp_path):
+    domain = {"lower": [-4.0], "upper": [4.0]}
+    runs = [
+        ("fit", fit_config(), "fit_report.json"),
+        ("sample", {**sample_config(), "domain": domain}, "sample_report.json"),
+        ("evaluate", {
+            "domain": domain,
+            "metric": {"name": "exact", "rho": 0.5, "tol": 1e-6},
+            "paths": {"report": "exact.json"},
+        }, "exact.json"),
+        ("evaluate", {
+            "metric": {"name": "mmd", "eta": 1.0},
+            "paths": {"samples_p": "samples.csv", "samples_q": "samples.csv",
+                      "report": "mmd.json"},
+        }, "mmd.json"),
+        ("benchmark", {
+            "density": "squared-diff-5d",
+            "benchmark": {"budgets": [40], "methods": ["grid", "truth"],
+                          "n_samples": 100, "repetitions": 2, "rho": 0.5},
+        }, "benchmark_report.json"),
+    ]
+    # a distinct seed per command, so each report must carry its own
+    for seed, (command, data, report_name) in enumerate(runs, start=3):
+        cfg = write_config(tmp_path / f"cfg{seed}.json", data)
+        argv = [command, "--config", cfg, "--seed", str(seed), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / report_name).read_text())
+        assert (report["format_version"], report["command"], report["seed"]) == (
+            1, command, seed
+        )
 
 
 def test_fit_is_byte_deterministic(tmp_path):
@@ -454,6 +468,21 @@ MISSING = (
 
 # (argv, config, exit code, stderr line); {out} stands for the --out directory
 ERROR_CASES = {
+    "config-not-object": (
+        ["fit"], ["not", "an", "object"], 2, "config must be a JSON object",
+    ),
+    "config-unknown-key": (
+        ["fit"], {"density": "x", "typo_section": {}},
+        2, "unknown config keys: ['typo_section']",
+    ),
+    **{
+        f"sample-paths-{kind}": (
+            ["sample"],
+            {"domain": DOMAIN_1D, "sampler": {"n_samples": 5, "rho": 0.5}, "paths": paths},
+            2, "config section 'paths' must be an object",
+        )
+        for kind, paths in (("null", None), ("list", []), ("string", "x"))
+    },
     "fit-psd-nan": (
         ["fit", "--psd"], {"density": NAN_DENSITY, "fit": FIT},
         2, "oracle returned non-finite values",
@@ -539,6 +568,13 @@ ERROR_CASES = {
         {"metric": {"name": "mmd", "eta": 1.0},
          "paths": {"samples_p": "draws.csv", "samples_q": "nonfinite.csv"}},
         2, "sample sets must be finite",
+    ),
+    # what `psd sample` writes for n_samples = 0
+    "mmd-empty-samples": (
+        ["evaluate"],
+        {"metric": {"name": "mmd", "eta": 1.0},
+         "paths": {"samples_p": "draws.csv", "samples_q": "empty.csv"}},
+        2, "sample sets must be non-empty",
     ),
     "benchmark-unknown-method": (
         ["benchmark"],
@@ -637,6 +673,7 @@ def test_error_paths_print_one_line_and_exit_code(
     (tmp_path / "mismatch.json").write_text(json.dumps(mismatch))
     (tmp_path / "draws.csv").write_text("0.0\n1.0\n")
     (tmp_path / "nonfinite.csv").write_text("0.0\nnan\n")
+    (tmp_path / "empty.csv").write_text("")
     cfg = write_config(tmp_path / "cfg.json", data)
     capsys.readouterr()
     assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == code

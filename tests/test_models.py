@@ -1,7 +1,7 @@
-import json
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdsample.boxes import HyperRectangle
 from psdsample.models import (
@@ -126,13 +126,50 @@ def test_dimension_mismatch_raises():
         model.evaluate(np.zeros((3, 2)))
 
 
-def test_serialization_round_trip_is_exact():
-    model = random_model(7, d=2, m=3)
-    doc = model_to_dict(model)
-    back = model_from_dict(json.loads(json.dumps(doc)))
-    assert np.array_equal(back.A, model.A)
-    assert np.array_equal(back.X, model.X)
-    assert np.array_equal(back.eta, model.eta)
+# finite floats with both zeros and subnormals drawn often
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1060)])
+_VALUES = st.one_of(_EDGE_FLOATS, st.floats(-4.0, 4.0))
+_PRECISIONS = st.one_of(st.sampled_from([5e-324, 2.0**-1030]), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def _serializable_models(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+
+    def array(elements, *shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+    X, eta, a = array(_VALUES, m, d), array(_PRECISIONS, d), array(_VALUES, m)
+    if draw(st.booleans()):
+        return RankOneModel(a=a, X=X, eta=eta)
+    # PSD by construction; elementwise sums keep the -0.0 and subnormal
+    # products of the off-diagonal entries, and A stays exactly symmetric
+    b = array(_VALUES, m)
+    A = np.outer(a, a)
+    A += np.outer(b, b)
+    A[np.diag_indices(m)] += array(st.floats(0.0, 4.0), m)
+    return GaussianPsdModel(A=A, X=X, eta=eta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_serializable_models())
+def test_serialization_round_trip_is_exact(model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    want = model.to_psd() if isinstance(model, RankOneModel) else model
+    for key in ("A", "X", "eta", "rank_one_a"):
+        got, expected = getattr(back, key), getattr(want, key)
+        if expected is None:
+            assert got is None
+        else:
+            # bytes, so -0.0 must come back as -0.0
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), key
+    again = path.with_name("again.json")
+    save_model(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_save_load_preserves_rank_one_tag(tmp_path):
