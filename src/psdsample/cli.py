@@ -59,6 +59,8 @@ def _domain_box(cfg: dict) -> Optional[HyperRectangle]:
     domain = cfg.get("domain")
     if domain is None:
         return None
+    if not isinstance(domain, dict):
+        raise ConfigError("config section 'domain' must be an object")
     try:
         lower = np.asarray(domain["lower"], dtype=float)
         upper = np.asarray(domain["upper"], dtype=float)
@@ -74,6 +76,8 @@ def _target(cfg: dict) -> TargetDensity:
     name = cfg.get("density")
     if name is None:
         raise ConfigError("config needs a 'density' name")
+    if not isinstance(name, str):
+        raise ConfigError("density must be a string")
     try:
         return get_density(name)
     except KeyError:

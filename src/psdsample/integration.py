@@ -16,7 +16,11 @@ identical, so each unique pair is evaluated once.  Each axis of a set of
 boxes has distinct edges and (lower, upper) intervals; erf(s (edge - mid))
 is evaluated once per distinct edge and unique pair, and their
 difference erf(s (hi - mid)) - erf(s (lo - mid)) is tabulated per
-interval.  Each box gathers one table row per axis and multiplies it
+interval.  Where an axis' boxes are cells of one grid, lo = o + j w and
+hi = o + (j + 1) w exactly for integers j, as on sampler levels and
+dyadic leaf sets, ``np.bincount(j)`` and two cumsums find the edges and
+intervals in linear time; any other axis sorts its edges, with the
+same result.  Each box gathers one table row per axis and multiplies it
 into its pair products; ``erf_evals`` counts the erfs taken.  The
 products fill a chunk of boxes by pairs, reduced by one product with the
 pair weights.  A call works in one of two ways.  If the tables of the
@@ -24,7 +28,9 @@ whole call fit the memory budget, as those of sampler levels and dyadic
 leaf sets mostly do (a level has at most 2^c intervals on an axis halved
 c times), they are built once, and each block of a chunk's rows gathers
 and multiplies all d axes while it is in cache.  Otherwise each chunk
-tabulates its own boxes one axis at a time, with one table alive.
+tabulates its own boxes one axis at a time, with one table alive.  The
+call counts its intervals before it sorts any edges, so a call that
+tabulates per chunk sorts each edge once, in its chunk.
 
 A rank-one model is integrated through its cached full form
 (``RankOneModel.to_psd``).  The squared model's Gram comes from one
@@ -104,23 +110,90 @@ class IntegralAccounting:
         self.erf_evals += other.erf_evals
 
 
-def _intervals(lo, hi):
-    """Distinct edges and (lo, hi) intervals of one axis.
+def _grid_intervals(lo, hi):
+    """Distinct edges and intervals of one axis whose boxes are cells of
+    one grid, found without a sort, or None.
 
-    Returns the sorted distinct edges, each interval's lower and upper
-    edge index into them, and each box's interval index.  Sampler levels
-    and dyadic leaf sets pair every lower edge with one upper edge, so
-    one sort of the lower edges finds the intervals; in any other batch
-    each box keeps an interval of its own.
+    With o the smallest lower edge and w the first box's width, every
+    box must have lo == o + j w and hi == o + (j + 1) w exactly for an
+    integer 0 <= j < 2B (B boxes, so the work stays linear in B), and
+    the edges o + e w that occur must strictly increase (where w is
+    below the spacing of floats, two of them can round to one).  Then
+    ``np.bincount(j)`` marks the intervals present and two cumsums rank
+    the edges and the intervals; the edges are the values a sort finds,
+    in the same order.
     """
+    o, top = lo.min(), hi.max()
+    # before any arithmetic: inf - inf would warn
+    if not (np.isfinite(o) and np.isfinite(top)):
+        return None
+    with np.errstate(over="ignore"):
+        w = hi[0] - lo[0]
+        if not 0.0 < w < np.inf:
+            return None
+        j = lo - o
+        j /= w
+    np.rint(j, out=j)
+    # o + j w, then o + (j + 1) w, in one buffer; an overflowed j is inf
+    # and fails the first comparison
+    grid = j * w
+    grid += o
+    if not np.array_equal(grid, lo):
+        return None
+    np.add(j, 1.0, out=grid)
+    grid *= w
+    grid += o
+    if not np.array_equal(grid, hi):
+        return None
+    if j.max() >= 2 * lo.size:
+        return None
+    j = j.astype(np.intp)
+    present = np.bincount(j) > 0
+    is_edge = np.zeros(present.size + 1, dtype=bool)
+    is_edge[:-1] = present
+    is_edge[1:] |= present
+    edges = o + np.flatnonzero(is_edge) * w
+    if np.any(edges[1:] <= edges[:-1]):
+        return None
+    edge_rank = np.cumsum(is_edge) - 1
+    lows = np.flatnonzero(present)
+    interval_rank = np.cumsum(present) - 1
+    return edges, edge_rank[lows], edge_rank[lows + 1], interval_rank[j]
+
+
+def _sorted_edges(lo, hi):
+    """Sorted distinct values of ``lo`` and ``hi`` and the index of each."""
+    edges, idx = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+    return edges, idx[: lo.size], idx[lo.size :]
+
+
+def _intervals(lo, hi):
+    """Distinct (lo, hi) intervals of one axis: their count, and a
+    function that builds their edges.
+
+    The function returns the sorted distinct edges, each interval's
+    lower and upper edge index into them, and each box's interval index.
+    Grid-aligned axes, as on sampler levels and dyadic leaf sets, take
+    ``_grid_intervals``.  Otherwise one sort of the lower edges finds
+    the intervals when every lower edge meets one upper edge, and in any
+    other batch each box keeps an interval of its own.  The count needs
+    no sort of the edges, so a call that will not keep its tables skips
+    that sort.
+    """
+    grid = _grid_intervals(lo, hi)
+    if grid is not None:
+        return grid[1].size, lambda: grid
     lo_u, inv = np.unique(lo, return_inverse=True)
     hi_u = np.empty_like(lo_u)
     hi_u[inv] = hi
     if np.array_equal(hi_u[inv], hi):
-        edges, idx = np.unique(np.concatenate((lo_u, hi_u)), return_inverse=True)
-        return edges, idx[: lo_u.size], idx[lo_u.size :], inv
-    edges, idx = np.unique(np.concatenate((lo_u, hi)), return_inverse=True)
-    return edges, idx[: lo_u.size][inv], idx[lo_u.size :], np.arange(hi.size)
+        return lo_u.size, lambda: (*_sorted_edges(lo_u, hi_u), inv)
+
+    def each_box():
+        edges, lo_idx, hi_idx = _sorted_edges(lo_u, hi)
+        return edges, lo_idx[inv], hi_idx, np.arange(hi.size)
+
+    return hi.size, each_box
 
 
 def _interval_table(edges, lo_idx, hi_idx, mid_k, s_k):
@@ -186,15 +259,15 @@ def integrate_boxes(
     acc_buf = np.empty((min(step, B), n_pairs))
     row_buf = np.empty((min(block, B), n_pairs))
     axes = [_intervals(lowers[:, k], uppers[:, k]) for k in range(d)]
-    shared = sum(axis[1].size for axis in axes) * n_pairs <= _CHUNK_ELEMS
+    shared = sum(count for count, _ in axes) * n_pairs <= _CHUNK_ELEMS
     evals = 0
     if shared:
         # the call's tables fit the budget: build them once for all chunks
-        evals = sum(axis[0].size for axis in axes) * n_pairs
-        tables = [
-            (_interval_table(edges, lo_idx, hi_idx, mid[:, k], s[k]), inv)
-            for k, (edges, lo_idx, hi_idx, inv) in enumerate(axes)
-        ]
+        tables = []
+        for k, (_, build) in enumerate(axes):
+            edges, lo_idx, hi_idx, inv = build()
+            evals += edges.size * n_pairs
+            tables.append((_interval_table(edges, lo_idx, hi_idx, mid[:, k], s[k]), inv))
     for start in range(0, B, step):
         stop = min(B, start + step)
         acc = acc_buf[: stop - start]
@@ -209,7 +282,8 @@ def integrate_boxes(
         else:
             lo, hi = lowers[start:stop], uppers[start:stop]
             for k in range(d):
-                edges, lo_idx, hi_idx, inv = _intervals(lo[:, k], hi[:, k])
+                _, build = _intervals(lo[:, k], hi[:, k])
+                edges, lo_idx, hi_idx, inv = build()
                 evals += edges.size * n_pairs
                 table = _interval_table(edges, lo_idx, hi_idx, mid[:, k], s[k])
                 for rows in blocks:

@@ -2,7 +2,12 @@
 
 The sampler halves every box of a level on the axis ``boxes.split_axes``
 names for that level and splits the sample count between the halves
-with an exact binomial draw on the mass ratio.  A leaf is a cell of the
+with an exact binomial draw on the mass ratio q: the binomial quantile
+of one uniform u.  Most nodes hold one draw, and for them the quantile
+is the comparison u > 1 - q; only nodes with more draws, and the rare
+u in a band around 1 - q or near 1 where the comparison and the
+quantile function could round apart, call the quantile function, so
+every draw is the same as by the quantile alone.  A leaf is a cell of the
 grid whose depth per axis is the halving count of the box side to rho
 (``metrics.dyadic_density`` lists them row-major; midpoint rounding can
 leave a side a few ulps above rho); inside it, points are uniform.  A
@@ -23,7 +28,9 @@ than that count, and tabulates their differences per interval.
 
 The recursion is one walk over the ``split_axes`` schedule, the boxes
 of a level batched into single vectorized calls; a child whose computed
-mass is zero gets no draws.  The leaves are filled once, after the last
+mass is zero gets no draws.  The children that get draws, left halves
+first, are gathered by one index per level and take the split value
+on the halved axis.  The leaves are filled once, after the last
 level, and the final permutation alone orders the output.  Randomness
 comes from one counter-based Philox stream keyed on the seed: binomial
 uniforms level by level, then leaf uniforms, then the permutation.
@@ -102,10 +109,21 @@ def integral_budget(box: HyperRectangle, rho: float, n_samples: int) -> float:
 def _binomial_inversion(
     rng: np.random.Generator, n: NDArray[np.int64], q: NDArray[np.float64]
 ) -> NDArray[np.int64]:
-    """Exact binomial draws via quantile inversion of one uniform each."""
+    """Exact binomial draws via quantile inversion of one uniform each.
+
+    A node with n = 1 draws k = (u > 1 - q), the Bernoulli quantile.
+    Where that comparison and ``_binom_ppf`` could round apart, the node
+    goes to ``_binom_ppf`` as every node with n != 1 does: u within
+    1e-14 (1 - q) of 1 - q, or u >= 1 - 1e-14.  So k is the binomial
+    quantile of u at every node, u = 0 with q = 1 included.
+    """
     u = rng.random(n.size)
-    k = _binom_ppf(u, n, q)
-    return np.clip(k, 0, n).astype(np.int64)
+    p = 1.0 - q
+    k = (u > p).astype(np.int64)
+    exact = np.flatnonzero((n != 1) | (np.abs(u - p) <= 1e-14 * p) | (u >= 1.0 - 1e-14))
+    n_exact = n[exact]
+    k[exact] = np.clip(_binom_ppf(u[exact], n_exact, q[exact]), 0, n_exact).astype(np.int64)
+    return k
 
 
 def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
@@ -140,7 +158,7 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
     mass = np.array([root_mass])
     cnt = np.array([n_total], dtype=np.int64)
     for axis in split_axes(box, rho):
-        left_hi, right_lo = bisect(lo, hi, axis)
+        left_hi, _ = bisect(lo, hi, axis)
         left_mass = integrate_boxes(model, lo, left_hi, acct)
         np.minimum(left_mass, mass, out=left_mass)
         right_mass = mass - left_mass
@@ -148,12 +166,18 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
         # the quantile at u = 0 is 0 even when q = 1
         k = np.where(right_mass > 0.0, k, cnt)
 
-        take_l = k > 0
-        take_r = k < cnt
-        lo = np.concatenate([lo[take_l], right_lo[take_r]])
-        hi = np.concatenate([left_hi[take_l], hi[take_r]])
-        mass = np.concatenate([left_mass[take_l], right_mass[take_r]])
-        cnt = np.concatenate([k[take_l], (cnt - k)[take_r]])
+        # the children that get draws, left halves first, in one gather
+        take_l = np.flatnonzero(k > 0)
+        take_r = np.flatnonzero(k < cnt)
+        idx = np.concatenate((take_l, take_r))
+        split = left_hi[idx, axis]
+        lo = lo.take(idx, axis=0)
+        hi = hi.take(idx, axis=0)
+        n_left = take_l.size
+        hi[:n_left, axis] = split[:n_left]
+        lo[n_left:, axis] = split[n_left:]
+        mass = np.concatenate((left_mass[take_l], right_mass[take_r]))
+        cnt = np.concatenate((k[take_l], (cnt - k)[take_r]))
 
     u = rng.random((n_total, d))
     out = np.repeat(lo, cnt, axis=0) + u * np.repeat(hi - lo, cnt, axis=0)

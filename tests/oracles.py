@@ -6,7 +6,9 @@ Gauss-Legendre cubature, plenty for smooth Gaussian integrands in up to
 three dimensions.  ``sample_reference`` keeps the sampler's earlier
 level loop, which filled leaves level by level at tree-order offsets.
 ``integrate_boxes_reference`` keeps the earlier box-batch integral,
-which evaluated erf per distinct edge in every chunk.
+which evaluated erf per distinct edge in every chunk, and
+``intervals_reference`` the earlier ``integration._intervals``, which
+found every axis' intervals by sorting.
 """
 
 import numpy as np
@@ -202,3 +204,22 @@ def integrate_boxes_reference(model, lowers, uppers, acct=None):
         acct.integral_evals += B
     np.maximum(out, 0.0, out=out)
     return c * out
+
+
+def intervals_reference(lo, hi):
+    """Distinct edges and (lo, hi) intervals of one axis.
+
+    Returns the sorted distinct edges, each interval's lower and upper
+    edge index into them, and each box's interval index.  Sampler levels
+    and dyadic leaf sets pair every lower edge with one upper edge, so
+    one sort of the lower edges finds the intervals; in any other batch
+    each box keeps an interval of its own.
+    """
+    lo_u, inv = np.unique(lo, return_inverse=True)
+    hi_u = np.empty_like(lo_u)
+    hi_u[inv] = hi
+    if np.array_equal(hi_u[inv], hi):
+        edges, idx = np.unique(np.concatenate((lo_u, hi_u)), return_inverse=True)
+        return edges, idx[: lo_u.size], idx[lo_u.size :], inv
+    edges, idx = np.unique(np.concatenate((lo_u, hi)), return_inverse=True)
+    return edges, idx[: lo_u.size][inv], idx[lo_u.size :], np.arange(hi.size)

@@ -483,6 +483,16 @@ ERROR_CASES = {
         )
         for kind, paths in (("null", None), ("list", []), ("string", "x"))
     },
+    **{
+        f"fit-density-{kind}": (
+            ["fit"], {"density": density, "fit": FIT}, 2, "density must be a string",
+        )
+        for kind, density in (("list", []), ("object", {}))
+    },
+    "sample-domain-list": (
+        ["sample"], {"domain": [1, 2], "sampler": {"n_samples": 5, "rho": 0.5}},
+        2, "config section 'domain' must be an object",
+    ),
     "fit-psd-nan": (
         ["fit", "--psd"], {"density": NAN_DENSITY, "fit": FIT},
         2, "oracle returned non-finite values",

@@ -19,7 +19,7 @@ from psdsample.integration import (
 )
 from psdsample.models import GaussianPsdModel, RankOneModel
 
-from oracles import gl_box_integral, integrate_boxes_reference
+from oracles import gl_box_integral, integrate_boxes_reference, intervals_reference
 
 
 def unit_model():
@@ -160,12 +160,17 @@ def test_erf_evals_counts_each_distinct_edge_once():
     assert total == IntegralAccounting(5, 2 + 64, 3 + 15)
 
 
-def _level_batch(rng, d):
+def _level_batch(rng, d, dyadic=False):
     """Lower corners and left-half upper corners of one sampler level,
     with a random share of each level's boxes dropped as the sampler
-    drops children that get no draws."""
-    lo = rng.integers(-20, 0, size=d) / 10.0
-    box = HyperRectangle(lo, lo + rng.integers(5, 40, size=d) / 10.0)
+    drops children that get no draws.  The box has one-decimal corners
+    and sides, whose midpoints round, or dyadic ones, whose do not."""
+    if dyadic:
+        lo = rng.integers(-8, 1, size=d) / 4.0
+        box = HyperRectangle(lo, lo + 2.0 ** rng.integers(-1, 3, size=d))
+    else:
+        lo = rng.integers(-20, 0, size=d) / 10.0
+        box = HyperRectangle(lo, lo + rng.integers(5, 40, size=d) / 10.0)
     axes = split_axes(box, 0.05)
     level = int(rng.integers(0, min(axes.size, 9)))
     lo, hi = box.lower[None, :].copy(), box.upper[None, :].copy()
@@ -210,6 +215,80 @@ def _call_erf_evals(lo, hi, pairs):
     return pairs * sum(
         np.unique(np.concatenate((lo[:, k], hi[:, k]))).size for k in range(lo.shape[1])
     )
+
+
+def _assert_intervals_match_the_reference(lo, hi):
+    for k in range(lo.shape[1]):
+        count, build = integration._intervals(lo[:, k], hi[:, k])
+        edges, lo_idx, hi_idx, inv = build()
+        ref = intervals_reference(lo[:, k], hi[:, k])
+        assert count == lo_idx.size
+        assert edges.tobytes() == ref[0].tobytes()
+        for got, want in zip((lo_idx, hi_idx, inv), ref[1:]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from(["none", "inf", "zero-width", "shared-lower", "ulp"]),
+)
+def test_intervals_match_the_sorting_reference(seed, d, dyadic, edit):
+    rng = np.random.default_rng(seed)
+    lo, hi = _level_batch(rng, d, dyadic)
+    n = lo.shape[0]
+    if dyadic:
+        # exact arithmetic puts every axis of a dyadic level on its grid;
+        # it is counted unless its boxes span more than 2n cells
+        for k in range(d):
+            cells = (hi[:, k].max() - lo[:, k].min()) / (hi[0, k] - lo[0, k])
+            grid = integration._grid_intervals(lo[:, k], hi[:, k])
+            assert (grid is not None) == (cells <= 2 * n)
+    i, k = rng.integers(n), rng.integers(d)
+    if edit == "inf":
+        lo[i, k] = -np.inf
+        hi[rng.integers(n), rng.integers(d)] = np.inf
+    elif edit == "zero-width":
+        hi[i, k] = lo[i, k]
+    elif edit == "shared-lower":
+        # box i's lower edge meets a second upper edge, twice as far
+        extra = hi[i].copy()
+        extra[k] += hi[i, k] - lo[i, k]
+        lo = np.concatenate((lo, lo[i : i + 1]))
+        hi = np.concatenate((hi, extra[None, :]))
+    elif edit == "ulp":
+        # the last box's upper edge one ulp off the grid; the first box
+        # fixes the grid's width, so the last is another one
+        if n == 1:
+            lo, hi = np.concatenate((lo, lo)), np.concatenate((hi, hi))
+        hi[-1, k] = np.nextafter(hi[-1, k], np.inf)
+        if dyadic:
+            assert integration._grid_intervals(lo[:, k], hi[:, k]) is None
+    _assert_intervals_match_the_reference(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        # two cells 1024 widths apart: the counts would outgrow the batch
+        ([0.0, 1.0], [2.0**-10, 1.0 + 2.0**-10]),
+        # the grid's edges 2 - 2^-52 + w and + 2w both round to 2.0
+        ([2.0 - 2.0**-52, 2.0], [2.0, 2.0]),
+        # lo - o overflows, then the first box's width does
+        ([-1.5e308, 1e308], [-1e308, 1.5e308]),
+        ([-1e308, 0.0], [1e308, 1e308]),
+        # infinite edges, where inf - inf would warn
+        ([-np.inf, -np.inf], [-np.inf, -np.inf]),
+        ([-np.inf, 0.0], [0.0, np.inf]),
+    ],
+)
+def test_axes_off_a_grid_take_the_sort(lo, hi):
+    lo, hi = np.array(lo), np.array(hi)
+    assert integration._grid_intervals(lo, hi) is None
+    _assert_intervals_match_the_reference(lo[:, None], hi[:, None])
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,8 +12,10 @@ from scipy.stats import binom
 import psdsample
 from psdsample import sampler as sampler_module
 from psdsample.boxes import HyperRectangle, split_axes
+from psdsample.densities import get_density
 from psdsample.exceptions import EmptyMassError, UnboundedDomainError
 from psdsample.integration import IntegralAccounting, integrate, integrate_boxes
+from psdsample.metrics import dyadic_density
 from psdsample.models import GaussianPsdModel, RankOneModel
 from psdsample.sampler import (
     SamplerParams,
@@ -178,6 +180,48 @@ def test_walk_draws_the_reference_loops_points(d, m, dyadic, n, seed):
     assert run.leaf_count == ref.leaf_count
 
 
+def _small_model_and_box(rng, d, m, dyadic):
+    if dyadic:
+        lo = rng.integers(-12, 1, size=d) / 4
+        hi = lo + 2.0 ** rng.integers(-1, 3, size=d)
+    else:
+        lo = np.round(rng.uniform(-3.0, 0.0, size=d), 1)
+        hi = np.round(lo + rng.uniform(0.5, 3.0, size=d), 1)
+    B = rng.normal(size=(m, m))
+    model = GaussianPsdModel(
+        A=B @ B.T,
+        X=rng.uniform(lo - 0.5, hi + 0.5, size=(m, d)),
+        eta=rng.uniform(0.5, 2.0, size=d),
+    )
+    return model, HyperRectangle(lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 3),
+    dyadic=st.booleans(),
+    n=st.integers(0, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=3, m=1, dyadic=False, n=0, seed=0)
+def test_draws_fill_positive_mass_leaves_of_the_box(d, m, dyadic, n, seed):
+    rng = np.random.default_rng(seed)
+    model, box = _small_model_and_box(rng, d, m, dyadic)
+    rho = float(rng.choice([0.5, 0.25, 0.3, 0.125]))
+    run = sample(model, box, SamplerParams(rho=rho, n_samples=n, seed=seed))
+    assert run.samples.shape == (n, d)
+    assert box.contains(run.samples).all()
+    # each draw's cell of the split_axes grid, with every cell's mass
+    leaves = dyadic_density(model, box, rho)
+    leaf, inside = leaves._leaf_of(run.samples)
+    assert inside.all()
+    counted, counts = np.unique(leaf, return_counts=True)
+    assert counts.sum() == n
+    assert counted.size == run.leaf_count
+    assert np.all(leaves.masses[counted] > 0.0)
+
+
 def test_a_zero_mass_half_gets_no_draws(monkeypatch):
     # the binomial quantile at u = 0 is 0 even when q = 1, which would
     # send every draw into a right half of zero computed mass
@@ -317,6 +361,82 @@ def test_binomial_inversion_matches_scipy_stats_binom_ppf():
     assert np.array_equal(
         np.clip(_binom_ppf(zero, n, q), 0, n), np.clip(binom.ppf(zero, n, q), 0, n)
     )
+
+
+class _GivenUniforms:
+    """Stands in for the generator: ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    regime=st.sampled_from(["uniform", "log", "log-complement", "dyadic"]),
+)
+def test_bernoulli_splits_match_the_binomial_quantile(seed, regime):
+    # n = 1 nodes take k = (u > 1 - q) outside a band where the comparison
+    # and _binom_ppf may round apart; place u in and around that band
+    rng = np.random.default_rng(seed)
+    size = 4000
+    if regime == "uniform":
+        q = rng.random(size)
+    elif regime == "log":
+        q = 10.0 ** rng.uniform(-300.0, 0.0, size)
+    elif regime == "log-complement":
+        q = 1.0 - 10.0 ** rng.uniform(-16.0, 0.0, size)
+    else:
+        scale = 2.0 ** rng.integers(0, 31, size)
+        q = np.floor(rng.random(size) * (scale + 1)) / scale  # 0 and 1 included
+    p = 1.0 - q
+    # +-k ulps of 1 - q (k = 0..64, kept at 0 and above), within 1e-10
+    # of 1, or anywhere; random() never returns 1
+    at_p = np.maximum(p.view(np.int64) + rng.integers(-64, 65, size), 0).view(np.float64)
+    near_one = 1.0 - 1e-10 * rng.random(size)
+    where = rng.integers(0, 3, size)
+    u = np.select([where == 0, where == 1], [at_p, near_one], rng.random(size))
+    u = np.minimum(u, np.nextafter(1.0, 0.0))
+    n = np.where(rng.random(size) < 0.7, 1, rng.integers(0, 40, size))
+    got = _binomial_inversion(_GivenUniforms(u), n, q)
+    expected = np.clip(_binom_ppf(u, n, q), 0, n).astype(np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
+def test_count_one_splits_skip_the_binomial_quantile(monkeypatch):
+    seen = {"nodes": 0, "not_one": 0, "quantiles": 0, "band": 0}
+    inversion = sampler_module._binomial_inversion
+
+    def counting_inversion(rng, n, q):
+        seen["nodes"] += n.size
+        seen["not_one"] += int(np.count_nonzero(n != 1))
+        return inversion(rng, n, q)
+
+    def counting_ppf(u, n, q):
+        # count-one entries in the band where the comparison and the
+        # quantile may round apart are the only ones allowed beside n != 1
+        p = 1.0 - q
+        band = (n == 1) & ((np.abs(u - p) <= 1e-14 * p) | (u >= 1.0 - 1e-14))
+        seen["quantiles"] += u.size
+        seen["band"] += int(np.count_nonzero(band))
+        return _binom_ppf(u, n, q)
+
+    monkeypatch.setattr(sampler_module, "_binomial_inversion", counting_inversion)
+    monkeypatch.setattr(sampler_module, "_binom_ppf", counting_ppf)
+    target = get_density("squared-diff-5d")
+    run = sample(
+        target.exact_model, target.domain,
+        SamplerParams(rho=2.0**-4, n_samples=20_000, seed=3),
+    )
+    # one binomial draw per internal node, one integral per node and the root
+    assert seen["nodes"] == run.accounting.integral_evals - 1
+    assert seen["not_one"] < seen["nodes"] / 4
+    assert seen["quantiles"] <= seen["not_one"] + seen["band"]
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
