@@ -123,6 +123,8 @@ def _grid_intervals(lo, hi):
     the edges and the intervals; the edges are the values a sort finds,
     in the same order.
     """
+    if lo.size == 0:
+        return None
     o, top = lo.min(), hi.max()
     # before any arithmetic: inf - inf would warn
     if not (np.isfinite(o) and np.isfinite(top)):

@@ -122,7 +122,8 @@ def _binomial_inversion(
     k = (u > p).astype(np.int64)
     exact = np.flatnonzero((n != 1) | (np.abs(u - p) <= 1e-14 * p) | (u >= 1.0 - 1e-14))
     n_exact = n[exact]
-    k[exact] = np.clip(_binom_ppf(u[exact], n_exact, q[exact]), 0, n_exact).astype(np.int64)
+    k_exact = _binom_ppf(u[exact], n_exact, q[exact])
+    k[exact] = np.clip(k_exact, 0, n_exact).astype(np.int64)
     return k
 
 
@@ -158,7 +159,7 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
     mass = np.array([root_mass])
     cnt = np.array([n_total], dtype=np.int64)
     for axis in split_axes(box, rho):
-        left_hi, _ = bisect(lo, hi, axis)
+        left_hi = bisect(lo, hi, axis)[0]
         left_mass = integrate_boxes(model, lo, left_hi, acct)
         np.minimum(left_mass, mass, out=left_mass)
         right_mass = mass - left_mass

@@ -283,6 +283,8 @@ def test_intervals_match_the_sorting_reference(seed, d, dyadic, edit):
         # infinite edges, where inf - inf would warn
         ([-np.inf, -np.inf], [-np.inf, -np.inf]),
         ([-np.inf, 0.0], [0.0, np.inf]),
+        # no boxes
+        ([], []),
     ],
 )
 def test_axes_off_a_grid_take_the_sort(lo, hi):
@@ -463,6 +465,14 @@ def test_rank_one_model_integrates_like_its_psd_form():
     )
     box = HyperRectangle(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     assert np.isclose(integrate(r1, box), integrate(r1.to_psd(), box), rtol=1e-14)
+
+
+def test_empty_batch_integrates_to_an_empty_vector():
+    acct = IntegralAccounting()
+    empty = np.empty((0, 2))
+    vals = integrate_boxes(random_model(8, d=2, m=2), empty, empty, acct)
+    assert vals.shape == (0,)
+    assert acct == IntegralAccounting()
 
 
 def test_corner_validation():
