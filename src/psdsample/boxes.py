@@ -5,8 +5,10 @@ dyadic bisection partition a box without overlap or gaps.  Infinite
 endpoints are allowed; operations that need a bounded box say so.
 
 ``split_axes`` fixes the dyadic partition with leaf size rho, the axis
-each level halves, so that every leaf is a cell of one grid.  ``bisect``
-is the one bisection core the sampler and the quadrature share.
+each level halves, so that every leaf is a cell of one grid.
+``left_halves`` is the one bisection core: the sampler takes its left
+halves and split points, and ``bisect`` adds the right halves that the
+quadrature needs.
 ``rng_from_seed`` is the one random stream of the package's seeded draws.
 """
 
@@ -88,20 +90,31 @@ class HyperRectangle:
         return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
 
 
-def bisect(lo, hi, axis) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Bisect a batch of boxes along ``axis``, one int or one per box.
+def left_halves(lo, hi, axis) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Left halves of a batch of boxes bisected along ``axis``, one int or
+    one per box, for a caller that needs no right halves.
 
     ``lo`` and ``hi`` are (B, d) corner arrays.  Each box is split at the
     floating-point average of its endpoints, so repeated splits of a
-    dyadic box stay exact.  Returns ``(left_hi, right_lo)``: the left half
-    is ``(lo, left_hi)`` and the right half is ``(right_lo, hi)``.
+    dyadic box stay exact.  Returns ``(left_hi, mid)``: the left half is
+    ``(lo, left_hi)`` and ``mid`` holds the B split points.
     """
     rows = np.arange(lo.shape[0])
     mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
     left_hi = hi.copy()
     left_hi[rows, axis] = mid
+    return left_hi, mid
+
+
+def bisect(lo, hi, axis) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Bisect a batch of boxes as ``left_halves`` does, keeping both halves.
+
+    Returns ``(left_hi, right_lo)``: the left half is ``(lo, left_hi)``
+    and the right half is ``(right_lo, hi)``.
+    """
+    left_hi, mid = left_halves(lo, hi, axis)
     right_lo = lo.copy()
-    right_lo[rows, axis] = mid
+    right_lo[np.arange(lo.shape[0]), axis] = mid
     return left_hi, right_lo
 
 

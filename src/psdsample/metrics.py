@@ -212,8 +212,64 @@ def exact_distances(
 _BLOCK_ROWS = 32
 
 
+# Largest eta * |p - c|^2 over both sets that the factored kernel sum
+# takes.  Up to it the factors exp(-eta |p - c|^2) stay above exp(-300)
+# and exp(2 eta x.y) below exp(600), both far inside the double range
+# (exp overflows above 709.78 and leaves the normals below -708.4);
+# beyond it the factors could overflow or underflow to 0.
+_FACTOR_LIMIT = 300.0
+
+
 def _kernel_sum(X, Y, eta, symmetric: bool = False) -> float:
     """Sum of exp(-eta * ||x - y||^2) over all pairs of rows of X and Y.
+
+    Both sets are shifted by c, the midpoint of the bounding box of their
+    union, and the kernel factors as a_x * b_y * exp(2 eta x.y) with
+    a_x = exp(-eta |x|^2) and b_y = exp(-eta |y|^2) on the shifted rows.
+    Each block of rows takes one matmul with 2 eta Y^T (inner dimension d)
+    into one reused buffer, an in-place exp, a product with b and a dot
+    with a.  With ``symmetric`` (Y is X) only blocks on and above the
+    diagonal are formed and the strict upper part counts twice.  Where
+    2 eta overflows or eta |p - c|^2 exceeds ``_FACTOR_LIMIT`` at some
+    point, the shifted sets go to ``_clamped_kernel_sum`` instead.
+    """
+    eta = float(eta)
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    if not symmetric:
+        lo, hi = np.minimum(lo, Y.min(axis=0)), np.maximum(hi, Y.max(axis=0))
+    center = 0.5 * (lo + hi)
+    X = X - center
+    Y = X if symmetric else Y - center
+    # squared norms of the shifted rows, made into the factors a and b below
+    a = np.einsum("ij,ij->i", X, X)
+    b = a if symmetric else np.einsum("ij,ij->i", Y, Y)
+    # as a quotient, so that a huge eta cannot overflow the test itself
+    if not (np.isfinite(2.0 * eta) and max(a.max(), b.max()) <= _FACTOR_LIMIT / eta):
+        return _clamped_kernel_sum(X, Y, eta, symmetric)
+    a = np.exp(-eta * a)
+    b = a if symmetric else np.exp(-eta * b)
+    # scaled in place where Y is a shifted copy of the caller's set
+    Y2 = 2.0 * eta * X if symmetric else np.multiply(Y, 2.0 * eta, out=Y)
+    n, m = X.shape[0], Y2.shape[0]
+    buf = np.empty(min(_BLOCK_ROWS, n) * m)
+    total = 0.0
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - start)
+        first = start if symmetric else 0
+        out = buf[: rows * (m - first)].reshape(rows, m - first)
+        np.matmul(X[start : start + rows], Y2[first:].T, out=out)
+        np.exp(out, out=out)
+        if symmetric:
+            diag = first + rows
+            row_sums = out[:, :rows] @ b[first:diag] + 2.0 * (out[:, rows:] @ b[diag:])
+        else:
+            row_sums = out @ b
+        total += float(a[start : start + rows] @ row_sums)
+    return total
+
+
+def _clamped_kernel_sum(X, Y, eta, symmetric: bool = False) -> float:
+    """``_kernel_sum`` for any finite eta and spread of the sets.
 
     Each block of rows takes one matmul of the augmented operands
     [x, -|x|^2, 1] and [2y, 1, -|y|^2] into one reused buffer; the clamp

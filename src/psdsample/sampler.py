@@ -5,9 +5,9 @@ names for that level and splits the sample count between the halves
 with an exact binomial draw on the mass ratio q: the binomial quantile
 of one uniform u.  Most nodes hold one draw, and for them the quantile
 is the comparison u > 1 - q; only nodes with more draws, and the rare
-u in a band around 1 - q or near 1 where the comparison and the
-quantile function could round apart, call the quantile function, so
-every draw is the same as by the quantile alone.  A leaf is a cell of the
+u in a band around 1 - q where the comparison and the quantile function
+could round apart, call the quantile function, so every draw is the
+same as by the quantile alone.  A leaf is a cell of the
 grid whose depth per axis is the halving count of the box side to rho
 (``metrics.dyadic_density`` lists them row-major; midpoint rounding can
 leave a side a few ulps above rho); inside it, points are uniform.  A
@@ -44,10 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-# binom.ppf's kernel; scipy.stats would add about 0.9 s to every import
-from scipy.special._ufuncs import _binom_ppf
+# binom.ppf's kernel and the binomial cdf and survival function;
+# scipy.stats would add about 0.9 s to every import
+from scipy.special._ufuncs import _binom_ppf as _ppf_kernel
+from scipy.special._ufuncs import bdtr, bdtrc
 
-from .boxes import HyperRectangle, bisect, rng_from_seed, split_axes
+from .boxes import HyperRectangle, left_halves, rng_from_seed, split_axes
 from .exceptions import EmptyMassError, ResourceLimitError, UnboundedDomainError
 from .integration import IntegralAccounting, integrate, integrate_boxes
 from .models import lipschitz_bounds
@@ -106,21 +108,54 @@ def integral_budget(box: HyperRectangle, rho: float, n_samples: int) -> float:
     )
 
 
+# binom.ppf's kernel brackets the quantile on the probability u, and the
+# bracketing fails, warns and can return a k one off where u or 1 - u is
+# below about 6e-14 (seen in a scan of 2.4M extreme (u, n, q) triples);
+# within this margin of 0 or 1 the quantile is found by bisection instead
+_PPF_TAIL = 2.0**-40
+
+
+def _binom_ppf(u, n, q) -> NDArray[np.float64]:
+    """Binomial quantile: the smallest k with P(X <= k) >= u, X ~ Bin(n, q).
+
+    ``binom.ppf``'s kernel computes it, except for u within ``_PPF_TAIL``
+    of 0 or 1.  There a bisection on k in [0, n] compares the cdf with u
+    or, above 1/2, the survival function with 1 - u, which is exact.
+    """
+    tail = np.abs(u - 0.5) > 0.5 - _PPF_TAIL
+    if not tail.any():
+        return _ppf_kernel(u, n, q)
+    k = np.empty(u.shape)
+    body = ~tail
+    k[body] = _ppf_kernel(u[body], n[body], q[body])
+    u, n, q = u[tail], n[tail], q[tail]
+    # lo is below the quantile, hi at or above it
+    lo = np.full(u.size, -1, dtype=np.int64)
+    hi = n.astype(np.int64)
+    while (open_ := hi - lo > 1).any():
+        mid = np.maximum((lo + hi) // 2, 0)
+        at_or_above = np.where(u > 0.5, bdtrc(mid, n, q) <= 1.0 - u, bdtr(mid, n, q) >= u)
+        lo = np.where(open_ & ~at_or_above, mid, lo)
+        hi = np.where(open_ & at_or_above, mid, hi)
+    k[tail] = hi
+    return k
+
+
 def _binomial_inversion(
     rng: np.random.Generator, n: NDArray[np.int64], q: NDArray[np.float64]
 ) -> NDArray[np.int64]:
     """Exact binomial draws via quantile inversion of one uniform each.
 
     A node with n = 1 draws k = (u > 1 - q), the Bernoulli quantile.
-    Where that comparison and ``_binom_ppf`` could round apart, the node
-    goes to ``_binom_ppf`` as every node with n != 1 does: u within
-    1e-14 (1 - q) of 1 - q, or u >= 1 - 1e-14.  So k is the binomial
-    quantile of u at every node, u = 0 with q = 1 included.
+    Where that comparison and ``_binom_ppf`` could round apart, u within
+    1e-14 (1 - q) of 1 - q, the node goes to ``_binom_ppf`` as every node
+    with n != 1 does.  So k is the binomial quantile of u at every node,
+    u = 0 with q = 1 included.
     """
     u = rng.random(n.size)
     p = 1.0 - q
     k = (u > p).astype(np.int64)
-    exact = np.flatnonzero((n != 1) | (np.abs(u - p) <= 1e-14 * p) | (u >= 1.0 - 1e-14))
+    exact = np.flatnonzero((n != 1) | (np.abs(u - p) <= 1e-14 * p))
     n_exact = n[exact]
     k_exact = _binom_ppf(u[exact], n_exact, q[exact])
     k[exact] = np.clip(k_exact, 0, n_exact).astype(np.int64)
@@ -159,7 +194,7 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
     mass = np.array([root_mass])
     cnt = np.array([n_total], dtype=np.int64)
     for axis in split_axes(box, rho):
-        left_hi = bisect(lo, hi, axis)[0]
+        left_hi, mid = left_halves(lo, hi, axis)
         left_mass = integrate_boxes(model, lo, left_hi, acct)
         np.minimum(left_mass, mass, out=left_mass)
         right_mass = mass - left_mass
@@ -171,7 +206,7 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
         take_l = np.flatnonzero(k > 0)
         take_r = np.flatnonzero(k < cnt)
         idx = np.concatenate((take_l, take_r))
-        split = left_hi[idx, axis]
+        split = mid[idx]
         lo = lo.take(idx, axis=0)
         hi = hi.take(idx, axis=0)
         n_left = take_l.size

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +235,100 @@ def test_kernel_sums_match_pairwise_oracle(d, n, m, eta, seed):
     assert np.isclose(cross, pairwise_kernel_sum(X, Y, eta), rtol=1e-12, atol=0.0)
     self_sum = metrics._self_sum(X, eta)
     assert np.isclose(self_sum, pairwise_kernel_sum(X, X, eta), rtol=1e-12, atol=0.0)
+
+
+def _spread(X, Y):
+    """Largest |p - c|^2 over both sets, c the midpoint of their bounding box."""
+    Z = np.concatenate([X, Y])
+    return float(np.max(np.sum((Z - 0.5 * (Z.min(axis=0) + Z.max(axis=0))) ** 2, axis=1)))
+
+
+def _spy_clamped():
+    return mock.patch.object(
+        metrics, "_clamped_kernel_sum", wraps=metrics._clamped_kernel_sum
+    )
+
+
+def _oracle_mmd(P, Q, eta):
+    n, m = P.shape[0], Q.shape[0]
+    val = (
+        pairwise_kernel_sum(P, P, eta) / (n * n)
+        + pairwise_kernel_sum(Q, Q, eta) / (m * m)
+        - 2.0 * pairwise_kernel_sum(P, Q, eta) / (n * m)
+    )
+    return np.sqrt(max(val, 0.0))
+
+
+# eta * _spread as a multiple of the factoring limit: below, at and above it
+GUARD_RATIOS = st.sampled_from([0.25, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1, 3.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5), BLOCK_EDGES, BLOCK_EDGES, st.floats(0.1, 5.0),
+    GUARD_RATIOS, st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1),
+)
+def test_kernel_sums_match_the_oracle_across_the_factoring_guard(
+    d, n, m, eta, ratio, shift, seed
+):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(n, d))
+    Y = rng.uniform(-2.0, 2.0, size=(m, d)) + shift
+    for A, B in ((X, Y), (X, X)):
+        symmetric = B is A
+        spread = _spread(A, B)
+        if spread > 0.0:
+            scale = np.sqrt(ratio * metrics._FACTOR_LIMIT / (eta * spread))
+            A = A * scale
+            B = A if symmetric else B * scale
+        with _spy_clamped() as clamped:
+            got = metrics._kernel_sum(A, B, eta, symmetric)
+        assert np.isclose(got, pairwise_kernel_sum(A, B, eta), rtol=1e-12, atol=0.0)
+        if spread > 0.0 and ratio != 1.0:
+            assert clamped.called == (ratio > 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 5), BLOCK_EDGES, BLOCK_EDGES,
+    st.sampled_from([100.0, -100.0, 1e3]), st.integers(0, 2**32 - 1),
+)
+def test_far_apart_sets_take_the_clamped_cross_sum(d, n, m, offset, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(-1.0, 1.0, size=(n, d))
+    Q = offset + rng.uniform(-1.0, 1.0, size=(m, d))
+    with _spy_clamped() as clamped:
+        got = empirical_mmd(P, Q, 1.0)
+    # only the cross sum spans both sets; each self-sum is factored
+    assert clamped.call_count == 1
+    assert np.isclose(got, _oracle_mmd(P, Q, 1.0), rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), BLOCK_EDGES, st.floats(-1e3, 1e3))
+def test_identical_points_at_a_huge_eta_sum_to_the_pair_count(d, n, value):
+    X = np.full((n, d), value)
+    assert metrics._self_sum(X, 1e308) == pairwise_kernel_sum(X, X, 1e308) == n * n
+
+
+@pytest.mark.parametrize("layout", ["cross", "self", "far-apart cross"])
+def test_kernel_sums_allocate_no_pair_sized_temporary(layout):
+    # the inputs exist before tracing starts; what the sum allocates is its
+    # block buffer and a few copies of the two sets
+    n = m = 4000
+    d = 5
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(n, d))
+    Y = X if layout == "self" else rng.normal(size=(m, d))
+    if layout == "far-apart cross":
+        Y += 100.0
+    tracemalloc.start()
+    try:
+        metrics._kernel_sum(X, Y, 1.0, symmetric=layout == "self")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < metrics._BLOCK_ROWS * m * 8 + 4 * (n + m) * d * 8
 
 
 @pytest.mark.parametrize("n, d", [(1000, 3), (290, 5), (378, 4), (169, 5), (310, 2)])
