@@ -17,12 +17,16 @@ Two regimes:
 
   over PSD matrices A by monotone FISTA (MFISTA, Beck & Teboulle 2009)
   with the fixed step 1/L, from whichever of the projected unconstrained
-  minimizer and A = 0 has the lower objective.  The quadratic lives in
-  the m(m+1)/2 unique-pair coordinates of the symmetric A, and one
-  product with its matrix per iteration gives both the objective and the
-  gradient.  The data term is the plain sum over evaluation points (no
-  1/n), so the fitted scale grows with n; densities are renormalized
-  downstream anyway.
+  minimizer and A = 0 has the lower objective.  It descends in whitened
+  coordinates B, with A = S B S and S close to K^{-1/2}, where the
+  regulariser is about lambda ||B||_F^2 and the quadratic is far better
+  conditioned than in A; S is invertible, so the PSD cone and the
+  minimizer are the same.  The quadratic lives in the m(m+1)/2
+  unique-pair coordinates of the symmetric B, and one product with its
+  matrix per iteration gives both the objective and the gradient.  The
+  data term is the plain sum over evaluation points (no 1/n), so the
+  fitted scale grows with n; densities are renormalized downstream
+  anyway.
 
 Both fits draw their design uniformly on the oracle's box from a
 counter-based stream seeded by the config (evaluation points first,
@@ -43,7 +47,7 @@ from numpy.typing import NDArray
 from .boxes import HyperRectangle, rng_from_seed
 from .exceptions import ConvergenceWarning, IllConditionedError
 # quartic_gram stays importable here for tools that wrap it by this name
-from .integration import pair_gram, quartic_gram  # noqa: F401
+from .integration import _CHUNK_ELEMS, pair_gram, quartic_gram  # noqa: F401
 from .kernels import kernel_matrix, project_psd
 from .models import GaussianPsdModel, RankOneModel
 
@@ -68,6 +72,14 @@ _GRAD_TOL = 1e-9
 _POWER_ITERS = 100
 _POWER_RTOL = 1e-6
 _POWER_MARGIN = 1.01
+# fit_psd's whitening floor, as the square of its ratio to the level
+# where the regulariser's curvature meets the roundoff of the pair Gram
+# (see _whitened_quadratic).  Measured on m = 20 and 40 fits with lambda
+# from 1e-6 to 0.1: at 100 psd-fit-2d's fit converges in about 470
+# iterations (212 at 1, 1416 at 1000), and the objective of the
+# returned A, recomputed in its own coordinates, stays within 1e-7 of
+# the reported one (3.4e-6 off at 1).
+_FLOOR_C = 100.0
 
 
 @dataclass(frozen=True)
@@ -159,6 +171,8 @@ class FitReport:
     objective_trace: list[float] = field(default_factory=list)
     holdout: list[dict] = field(default_factory=list)
     start: str | None = None
+    # fit_psd's last gradient mapping relative to the gradient at 0, both
+    # in the whitened coordinates B of A = S B S
     gradient_mapping: float | None = None
 
     def to_dict(self) -> dict:
@@ -317,10 +331,11 @@ def _top_eigenvalue(apply, mult) -> float:
     """Largest eigenvalue, with a margin, of a PSD operator that is
     self-adjoint in the inner product sum(mult * u * v).
 
-    Power iteration from the all-ones vector, which overlaps the leading
-    eigenvector of the operators here, since their entries are
-    nonnegative.  The Rayleigh quotient approaches the eigenvalue from
-    below, hence the margin.
+    Power iteration from the all-ones vector.  The whitened operators
+    of ``fit_psd`` have signed entries, so nothing guarantees that this
+    start overlaps the leading eigenvector; the tests check the result
+    against a dense eigensolver on representative fits.  The Rayleigh
+    quotient approaches the eigenvalue from below, hence the margin.
     """
     v = np.ones(mult.size)
     rq = 0.0
@@ -334,6 +349,80 @@ def _top_eigenvalue(apply, mult) -> float:
     return _POWER_MARGIN * rq_new
 
 
+def _congruence_rows(rows, S, rep, iu, ju) -> NDArray[np.float64]:
+    """(S R S)[iu, ju] for each row of ``rows``, read as the unique-pair
+    coordinates of a symmetric matrix R (``rep`` expands them to R).
+
+    Two products with an inner dimension of m, where the pair form of
+    R -> S R S as an (m(m+1)/2)^2 matrix would need m(m+1)/2."""
+    b, m = rows.shape[0], S.shape[0]
+    R = (rows[:, rep].reshape(b * m, m) @ S).reshape(b, m, m)
+    R = R.transpose(0, 2, 1).reshape(b * m, m) @ S
+    return R.reshape(b, m, m)[:, ju, iu]
+
+
+def _whitened_quadratic(X_n, f_n, X_m, eta, box, lam):
+    """The fit's quadratic in the coordinates B of A = S B S.
+
+    Returns (S, H, c): H and c are the quadratic and linear parts in the
+    unique-pair coordinates of B, as ``fit_psd`` uses them.  With K_mm's
+    eigenpairs (w, V), S = V diag(s) V^T and
+
+        s^2 = max(min(1, w / noise) / max(w, floor), 1 / w_max).
+
+    The regulariser's curvature lambda w^2 along an eigenvector falls to
+    the roundoff of G, the pair Gram of the squared model, at
+    w = noise = sqrt(eps ||G|| / lambda).  Above floor =
+    sqrt(_FLOOR_C) noise, S whitens K exactly, the regulariser becomes
+    lambda ||B||^2 there and the roundoff is at most lambda / _FLOOR_C of
+    it.  Between noise and floor the scale is held at the floor's.  Below
+    noise an eigenvector carries roundoff rather than data, so its scale
+    falls with w, down to that of w_max: it moves no faster than it does
+    in the coordinates of A.  Both levels are capped at w_max, so
+    lambda = 0 gives a scaled identity, and every s is positive, so S is
+    invertible and B is PSD exactly when A is.
+    """
+    m = X_m.shape[0]
+    iu, ju = np.triu_indices(m)
+    mult = np.where(iu == ju, 1.0, 2.0)
+    pair = np.empty((m, m), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
+    rep = pair.ravel()
+
+    K_nm = kernel_matrix(eta, X_n, X_m)
+    C = K_nm.T @ (f_n[:, None] * K_nm)  # sum_i f_i v_i v_i^T
+    w, V = np.linalg.eigh(kernel_matrix(eta, X_m))
+    H = pair_gram(X_m, eta, box)
+    # G M has nonnegative entries, so its largest row sum bounds its
+    # spectral radius (Gershgorin)
+    g_err = np.finfo(float).eps * float((H @ mult).max())
+    noise = w[-1] if lam * w[-1] ** 2 <= g_err else np.sqrt(g_err / lam)
+    floor = min(w[-1], np.sqrt(_FLOOR_C) * noise)
+    s2 = np.maximum(np.minimum(1.0, w / noise) / np.maximum(w, floor), 1.0 / w[-1])
+    S = (V * np.sqrt(s2)) @ V.T
+    S = 0.5 * (S + S.T)
+    # the regulariser's matrix S K S in place of K
+    P = (V * (np.maximum(w, 0.0) * s2)) @ V.T
+    Pi, Pj = P[iu], P[ju]
+
+    # H <- T^T H T, with T the pair form of B -> S B S: rows, then
+    # columns, in place, one chunk of rows expanded to m^2 at a time
+    step = max(1, _CHUNK_ELEMS // (m * m))
+    for start in range(0, iu.size, step):
+        H[start : start + step] = _congruence_rows(H[start : start + step], S, rep, iu, ju)
+    for start in range(0, iu.size, step):
+        cols = slice(start, start + step)
+        block = _congruence_rows(H[:, cols].T, S, rep, iu, ju)
+        # rows of lambda (P (x) P), symmetrized over (i, j) <-> (j, i)
+        pi, pj = Pi[cols], Pj[cols]
+        block += (0.5 * lam) * (pi[:, iu] * pj[:, ju] + pi[:, ju] * pj[:, iu])
+        H[:, cols] = block.T
+    H += H.T
+    H *= 0.5
+    C = S @ C @ S
+    return S, H, 0.5 * (C[iu, ju] + C[ju, iu])
+
+
 def fit_psd(
     oracle: EvaluationOracle,
     config: FitConfig,
@@ -344,39 +433,32 @@ def fit_psd(
 ) -> tuple[GaussianPsdModel, FitReport]:
     """Monotone FISTA fit of a full PSD coefficient matrix.
 
-    The oracle must be of kind "nonnegative".  The descent starts from
-    whichever of the projected warm start and A = 0 has the lower
+    The oracle must be of kind "nonnegative".  The descent runs in the
+    whitened coordinates B of A = S B S (see ``_whitened_quadratic``);
+    S is invertible, so B is PSD exactly when A is.  It starts from
+    whichever of the projected warm start and B = 0 has the lower
     objective (``report.start``), and runs MFISTA with the fixed step
     1/L, keeping the best iterate, so the objective trace in the report
-    is monotone.  It stops once the gradient mapping falls to
-    ``_GRAD_TOL`` times the gradient at A = 0; hitting ``max_iters``
-    instead emits a ``ConvergenceWarning`` and marks the report not
-    converged.
+    is monotone.  It stops once the gradient mapping, measured in B,
+    falls to ``_GRAD_TOL`` times the gradient at B = 0; hitting
+    ``max_iters`` instead emits a ``ConvergenceWarning`` and marks the
+    report not converged.
     """
     if oracle.kind != "nonnegative":
         raise ValueError("fit_psd needs a nonnegative oracle")
     X_n, X_m = _draw_design(oracle, config, centers, design_points)
-    f_n = oracle(X_n)
-    d = oracle.domain.dim
-    eta = np.full(d, float(config.tau))
+    eta = np.full(oracle.domain.dim, float(config.tau))
     m = config.m
-    lam = float(config.lam)
 
-    K_nm = kernel_matrix(eta, X_n, X_m)
-    K_mm = kernel_matrix(eta, X_m)
-    C = K_nm.T @ (f_n[:, None] * K_nm)  # sum_i f_i v_i v_i^T
-    C = 0.5 * (C + C.T)
-
-    # Unique-pair coordinates: a = A[iu, ju], and a Frobenius product of
+    # Unique-pair coordinates: b = B[iu, ju], and a Frobenius product of
     # symmetric matrices is sum(mult * a * b).  H (m(m+1)/2 square) holds
     # the quadratic part in these coordinates: the Gram of the squared
-    # model plus lambda (K (x) K), symmetrized over (i, j) <-> (j, i).
+    # model plus the regulariser, symmetrized over (i, j) <-> (j, i).
     iu, ju = np.triu_indices(m)
     mult = np.where(iu == ju, 1.0, 2.0)
-    H = pair_gram(X_m, eta, oracle.domain)
-    Ki, Kj = K_mm[iu], K_mm[ju]
-    H += (0.5 * lam) * (Ki[:, iu] * Kj[:, ju] + Ki[:, ju] * Kj[:, iu])
-    c = C[iu, ju]
+    S, H, c = _whitened_quadratic(
+        X_n, oracle(X_n), X_m, eta, oracle.domain, float(config.lam)
+    )
 
     def to_matrix(a):
         A = np.empty((m, m))
@@ -390,7 +472,7 @@ def fit_psd(
         return H @ (mult * a)
 
     def objective(a, ha):
-        # <A, H A> - 2 <C, A> from ha = apply_h(a)
+        # <B, H B> - 2 <C_B, B> from ha = apply_h(a)
         return float(np.sum(mult * a * (ha - 2.0 * c)))
 
     # warm start: projected unconstrained minimizer of the quadratic
@@ -438,7 +520,7 @@ def fit_psd(
             "MFISTA stopped after %d iterations" % iters,
             ConvergenceWarning,
         )
-    model = GaussianPsdModel(A=to_matrix(x), X=X_m, eta=eta, repair=True)
+    model = GaussianPsdModel(A=S @ to_matrix(x) @ S, X=X_m, eta=eta, repair=True)
     report = FitReport(
         kind="psd",
         config=config.to_dict(),

@@ -287,13 +287,15 @@ def find_support(
 def write_samples_csv(samples, path) -> None:
     """Headerless CSV, one point per row, shortest round-trip decimals."""
     arr = np.atleast_2d(np.asarray(samples, dtype=float))
+    # "%r" formats a float as repr does; a row with no columns is "\n"
+    row = ",".join(["%r"] * arr.shape[1]) + "\n"
     with open(path, "w") as fh:
         # Python floats are made one block of rows at a time: a list of
-        # the whole array would take about 50 bytes per value on top of it
+        # the whole array would take about 50 bytes per value on top of
+        # it.  Each block is one template filled in by one % operation.
         for start in range(0, arr.shape[0], _CSV_BLOCK_ROWS):
-            for row in arr[start : start + _CSV_BLOCK_ROWS].tolist():
-                fh.write(",".join(map(repr, row)))
-                fh.write("\n")
+            block = arr[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_samples_csv(path) -> NDArray[np.float64]:

@@ -8,7 +8,9 @@ level loop, which filled leaves level by level at tree-order offsets.
 ``integrate_boxes_reference`` keeps the earlier box-batch integral,
 which evaluated erf per distinct edge in every chunk, and
 ``intervals_reference`` the earlier ``integration._intervals``, which
-found every axis' intervals by sorting.
+found every axis' intervals by sorting.  ``write_samples_csv_reference``
+keeps the earlier CSV writer, which joined the reprs of one row at a
+time.
 """
 
 import numpy as np
@@ -223,3 +225,12 @@ def intervals_reference(lo, hi):
         return edges, idx[: lo_u.size], idx[lo_u.size :], inv
     edges, idx = np.unique(np.concatenate((lo_u, hi)), return_inverse=True)
     return edges, idx[: lo_u.size][inv], idx[lo_u.size :], np.arange(hi.size)
+
+
+def write_samples_csv_reference(samples, path):
+    """Headerless CSV, one point per row, written row by row."""
+    arr = np.atleast_2d(np.asarray(samples, dtype=float))
+    with open(path, "w") as fh:
+        for row in arr.tolist():
+            fh.write(",".join(map(repr, row)))
+            fh.write("\n")

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from psdsample import estimator
 from psdsample.boxes import HyperRectangle
 from psdsample.densities import get_density
 from psdsample.estimator import (
@@ -14,6 +15,7 @@ from psdsample.estimator import (
     theoretical_parameters,
 )
 from psdsample.exceptions import ConvergenceWarning
+from psdsample.integration import integrate_squared
 from psdsample.kernels import kernel_matrix
 from psdsample.models import GaussianPsdModel, RankOneModel
 
@@ -261,6 +263,98 @@ def test_psd_fit_warns_when_iteration_budget_exhausted():
         _, report = fit_psd(p1.oracle("nonnegative"), cfg, max_iters=1)
     assert any(issubclass(w.category, ConvergenceWarning) for w in caught)
     assert report.converged is False
+
+
+def test_psd_fit_converges_on_the_benchmark_fit():
+    # the psd-fit-2d workload's fit; in the coordinates of A it ran to
+    # the 2000-iteration cap and ended at -98.000037
+    oracle = get_density("signed-mixture-2d").oracle("nonnegative")
+    cfg = FitConfig(n=4000, m=40, tau=1.0, lam=0.1, seed=0)
+    _, report = fit_psd(oracle, cfg)
+    assert report.converged
+    assert report.iterations <= 1000
+    assert report.gradient_mapping <= estimator._GRAD_TOL
+    assert report.objective_trace[-1] <= -98.2443
+
+
+# (density, m, tau, lambda, seed, final objective of the fit in the
+# coordinates of A); the last case is one where a floor that scaled the
+# eigenvectors below the roundoff level like those at the floor drove
+# the reported objective to -1.3e8 against a true +3e5
+_FIT_CASES = [
+    ("signed-mixture-2d", 40, 0.5, 1e-4, 0, -164.264230),
+    ("double-well-1d", 40, 1.0, 1e-4, 4, -662682.2679),
+    ("double-well-1d", 20, 1.0, 1e-4, 4, -662656.4679),
+    ("double-well-1d", 20, 1.0, 0.1, 4, -578012.7653),
+]
+
+
+def _fit_case(name, m, tau, lam, seed):
+    oracle = get_density(name).oracle("nonnegative")
+    return oracle, FitConfig(n=4000, m=m, tau=tau, lam=lam, seed=seed)
+
+
+@pytest.mark.filterwarnings("ignore::psdsample.exceptions.ConvergenceWarning")
+@pytest.mark.parametrize("name, m, tau, lam, seed, before", _FIT_CASES)
+def test_psd_fit_objective_trace_is_the_objective_of_the_fitted_matrix(
+    name, m, tau, lam, seed, before
+):
+    # recomputed in the coordinates of A from the returned model; the
+    # tolerance is that of this float64 recomputation, whose sum over the
+    # pair Gram cancels: on the first case it read 0.7e-8 to 2.6e-8 off
+    # the trace, which itself matched an extended-precision evaluation
+    oracle, cfg = _fit_case(name, m, tau, lam, seed)
+    model, report = fit_psd(oracle, cfg)
+    X_n, X_m = estimator._draw_design(oracle, cfg, None, None)
+    f_n = oracle(X_n)
+    K = kernel_matrix(model.eta, X_m)
+    A = model.A
+    objective = (
+        integrate_squared(model, oracle.domain)
+        - 2.0 * float(f_n @ model.evaluate(X_n))
+        + lam * float(np.trace(K @ A @ K @ A))
+    )
+    assert abs(report.objective_trace[-1] - objective) <= 1e-7 * abs(objective)
+    assert objective <= before
+
+
+@pytest.mark.parametrize(
+    "name, m, tau, lam, seed",
+    [case[:5] for case in _FIT_CASES[:3]] + [("signed-mixture-2d", 40, 1.0, 0.1, 0)],
+)
+def test_step_bounds_the_top_eigenvalue_of_the_whitened_operator(name, m, tau, lam, seed):
+    # whitened pair Hessians have signed entries, so the power iteration's
+    # start is not known to overlap the top eigenvector; 1/L must stay a
+    # safe step all the same
+    oracle, cfg = _fit_case(name, m, tau, lam, seed)
+    X_n, X_m = estimator._draw_design(oracle, cfg, None, None)
+    eta = np.full(oracle.domain.dim, tau)
+    _, H, _ = estimator._whitened_quadratic(X_n, oracle(X_n), X_m, eta, oracle.domain, lam)
+    iu, ju = np.triu_indices(m)
+    mult = np.where(iu == ju, 1.0, 2.0)
+    top = np.linalg.eigvalsh(np.sqrt(mult)[:, None] * H * np.sqrt(mult)[None, :])[-1]
+    assert estimator._top_eigenvalue(lambda a: H @ (mult * a), mult) >= top
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.0])
+def test_psd_fit_with_a_singular_kernel_matrix(lam):
+    # a repeated center makes K_mm exactly singular; at lambda = 0 the
+    # whitening is a scaled identity
+    oracle = get_density("double-well-1d").oracle("nonnegative")
+    rng = np.random.default_rng(3)
+    X_m = rng.uniform(oracle.domain.lower, oracle.domain.upper, size=(6, 1))
+    X_m[5] = X_m[2]
+    assert np.linalg.matrix_rank(kernel_matrix(np.ones(1), X_m)) < 6
+    cfg = FitConfig(n=400, m=6, tau=1.0, lam=lam, seed=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model, report = fit_psd(oracle, cfg, centers=X_m)
+    assert all(issubclass(w.category, ConvergenceWarning) for w in caught)
+    assert np.all(np.isfinite(model.A))
+    assert np.linalg.eigvalsh(model.A).min() >= -1e-9 * max(np.abs(model.A).max(), 1.0)
+    trace = report.objective_trace
+    assert all(a >= b for a, b in zip(trace, trace[1:]))
+    assert trace[-1] <= 0.0
 
 
 def test_psd_fit_requires_nonnegative_oracle():

@@ -29,7 +29,7 @@ from psdsample.sampler import (
     write_samples_csv,
 )
 
-from oracles import gl_box_integral, sample_reference
+from oracles import gl_box_integral, sample_reference, write_samples_csv_reference
 
 
 def unit_model():
@@ -343,6 +343,39 @@ def test_csv_single_row_keeps_2d_shape(tmp_path):
     write_samples_csv(np.array([[1.5, -2.25]]), path)
     back = read_samples_csv(path)
     assert back.shape == (1, 2)
+
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, 1e300, -1e300, 1e-300, -1e-300]),
+)
+
+
+@st.composite
+def _csv_samples(draw):
+    rows, d = draw(st.integers(0, 9)), draw(st.integers(0, 4))
+    flat = draw(st.lists(_CSV_VALUES, min_size=rows * d, max_size=rows * d))
+    return np.array(flat, dtype=float).reshape(rows, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(samples=_csv_samples(), block_rows=st.sampled_from([1, 3, 4096]))
+@example(samples=np.atleast_2d([]), block_rows=4096)
+@example(samples=np.empty((0, 3)), block_rows=4096)
+@example(samples=np.array([[-0.0], [5e-324], [1e300]]), block_rows=2)
+def test_csv_writer_matches_the_row_writer(tmp_path_factory, samples, block_rows):
+    # each block is formatted from one template; the bytes must match the
+    # row-by-row join of reprs, for empty and one-column shapes and for
+    # blocks that split the rows
+    tmp = tmp_path_factory.mktemp("csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler_module, "_CSV_BLOCK_ROWS", block_rows)
+        write_samples_csv(samples, tmp / "block.csv")
+    write_samples_csv_reference(samples, tmp / "row.csv")
+    assert (tmp / "block.csv").read_bytes() == (tmp / "row.csv").read_bytes()
+    if samples.shape == (1, 0):
+        assert (tmp / "block.csv").read_bytes() == b"\n"
 
 
 def test_binomial_inversion_matches_scipy_stats_binom_ppf():
