@@ -218,15 +218,15 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
     section = _section(cfg, "sampler")
     model = _load_model(args, cfg)
 
-    find_support_requested = bool(
-        args.find_support or section.get("find_support", False)
-    )
+    support_key = section.get("find_support", False)
+    if not isinstance(support_key, bool):
+        raise ConfigError("sampler.find_support must be true or false")
     support_info = None
     box = _domain_box(cfg)
     if box is not None:
         _check_dim(box, model)
     if box is None or not box.is_bounded():
-        if not find_support_requested:
+        if not (args.find_support or support_key):
             raise ConfigError(
                 "domain is missing or unbounded; pass --find-support "
                 "or configure a bounded domain"

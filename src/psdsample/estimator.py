@@ -48,7 +48,7 @@ from .boxes import HyperRectangle, rng_from_seed
 from .exceptions import ConvergenceWarning, IllConditionedError
 # quartic_gram stays importable here for tools that wrap it by this name
 from .integration import _CHUNK_ELEMS, pair_gram, quartic_gram  # noqa: F401
-from .kernels import kernel_matrix, project_psd
+from .kernels import _unique_pairs, kernel_matrix, project_psd
 from .models import GaussianPsdModel, RankOneModel
 
 __all__ = [
@@ -66,6 +66,8 @@ _RESIDUAL_RTOL = 1e-8
 # fit_psd stops once the norm of the gradient mapping is at most this,
 # relative to the norm of the gradient at A = 0
 _GRAD_TOL = 1e-9
+# ... or after this many iterations, with a ConvergenceWarning
+_MAX_ITERS = 2000
 # power iteration for the step: at most this many products, stopping
 # once the Rayleigh quotient moves by at most the relative tolerance;
 # the margin covers the distance left to the top eigenvalue
@@ -383,11 +385,7 @@ def _whitened_quadratic(X_n, f_n, X_m, eta, box, lam):
     invertible and B is PSD exactly when A is.
     """
     m = X_m.shape[0]
-    iu, ju = np.triu_indices(m)
-    mult = np.where(iu == ju, 1.0, 2.0)
-    pair = np.empty((m, m), dtype=np.intp)
-    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
-    rep = pair.ravel()
+    iu, ju, mult, rep = _unique_pairs(m)
 
     K_nm = kernel_matrix(eta, X_n, X_m)
     C = K_nm.T @ (f_n[:, None] * K_nm)  # sum_i f_i v_i v_i^T
@@ -427,7 +425,6 @@ def fit_psd(
     oracle: EvaluationOracle,
     config: FitConfig,
     *,
-    max_iters: int = 2000,
     centers=None,
     design_points=None,
 ) -> tuple[GaussianPsdModel, FitReport]:
@@ -441,7 +438,7 @@ def fit_psd(
     1/L, keeping the best iterate, so the objective trace in the report
     is monotone.  It stops once the gradient mapping, measured in B,
     falls to ``_GRAD_TOL`` times the gradient at B = 0; hitting
-    ``max_iters`` instead emits a ``ConvergenceWarning`` and marks the
+    ``_MAX_ITERS`` instead emits a ``ConvergenceWarning`` and marks the
     report not converged.
     """
     if oracle.kind != "nonnegative":
@@ -454,8 +451,7 @@ def fit_psd(
     # symmetric matrices is sum(mult * a * b).  H (m(m+1)/2 square) holds
     # the quadratic part in these coordinates: the Gram of the squared
     # model plus the regulariser, symmetrized over (i, j) <-> (j, i).
-    iu, ju = np.triu_indices(m)
-    mult = np.where(iu == ju, 1.0, 2.0)
+    iu, ju, mult, _ = _unique_pairs(m)
     S, H, c = _whitened_quadratic(
         X_n, oracle(X_n), X_m, eta, oracle.domain, float(config.lam)
     )
@@ -498,7 +494,7 @@ def fit_psd(
     iters = 0
     gmap = 0.0
     converged = grad0 == 0.0  # C = 0: A = 0 is the minimizer
-    while not converged and iters < max_iters:
+    while not converged and iters < _MAX_ITERS:
         iters += 1
         z = project_psd(to_matrix(y - (2.0 / L) * (hy - c)))[iu, ju]
         diff = y - z

@@ -23,14 +23,15 @@ intervals in linear time; any other axis sorts its edges, with the
 same result.  Each box gathers one table row per axis and multiplies it
 into its pair products; ``erf_evals`` counts the erfs taken.  The
 products fill a chunk of boxes by pairs, reduced by one product with the
-pair weights.  A call works in one of two ways.  If the tables of the
-whole call fit the memory budget, as those of sampler levels and dyadic
-leaf sets mostly do (a level has at most 2^c intervals on an axis halved
-c times), they are built once, and each block of a chunk's rows gathers
-and multiplies all d axes while it is in cache.  Otherwise each chunk
-tabulates its own boxes one axis at a time, with one table alive.  The
-call counts its intervals before it sorts any edges, so a call that
-tabulates per chunk sorts each edge once, in its chunk.
+pair weights.  A call finds each axis' intervals once, then works in
+one of two ways.  If the tables of the whole call fit the memory budget,
+as those of sampler levels and dyadic leaf sets mostly do (a level has
+at most 2^c intervals on an axis halved c times), they are built once,
+and each block of a chunk's rows gathers and multiplies all d axes while
+it is in cache.  Otherwise each chunk tabulates, one axis at a time and
+with one table alive, only the call's intervals that its boxes use: two
+integer ``np.unique`` calls pick them and their edges out of the call's,
+so no chunk goes back to its float corners.
 
 A rank-one model is integrated through its cached full form
 (``RankOneModel.to_psd``).  The squared model's Gram comes from one
@@ -53,7 +54,7 @@ from scipy.special import erfc as _erfc
 
 from .boxes import HyperRectangle
 from .exceptions import ResourceLimitError
-from .kernels import kernel_matrix
+from .kernels import _unique_pairs, kernel_matrix
 from .models import _as_psd
 
 __all__ = [
@@ -70,12 +71,13 @@ __all__ = [
 # Each chunk ends in one acc @ w, whose rounding may depend on its shape,
 # so chunk boundaries never move.  integrate_boxes' interval tables share
 # the budget: the call's tables of all d axes are kept if they fit it, and
-# otherwise each chunk, whose b boxes have at most b intervals per axis,
-# builds one axis' table at a time.  With the chunk's product rows, the
-# table, the erf rows behind it (up to two edges per interval) and a
-# gather temporary, a call peaks near five arrays of this size whatever
-# the batch and d, besides its edge and interval indices, which are as
-# long as the corner arrays.
+# otherwise each chunk, whose b boxes use at most b of the call's
+# intervals per axis, builds one axis' table of those at a time.  With
+# the chunk's product rows, the table, the erf rows behind it (up to two
+# edges per interval) and a gather temporary, a call peaks near five
+# arrays of this size whatever the batch and d, besides the edges and
+# interval indices it finds once per axis, which are as long as the
+# corner arrays.
 _CHUNK_ELEMS = 1_000_000
 # elements per block of a chunk's product rows, and of the one row
 # buffer that later axes gather into.  With the call's tables kept, each
@@ -86,6 +88,9 @@ _CHUNK_ELEMS = 1_000_000
 # level batches 5-15% faster than 128 or 512 KB ones.  A chunk with
 # tables of its own gathers one axis over all its blocks, then the next.
 _BLOCK_ELEMS = 2**15
+# most pair products the quartic closed form may take; past it a Monte
+# Carlo estimate of the squared integral is the sane alternative
+_PAIR_CAP = 1e8
 
 
 @dataclass
@@ -163,39 +168,27 @@ def _grid_intervals(lo, hi):
     return edges, edge_rank[lows], edge_rank[lows + 1], interval_rank[j]
 
 
-def _sorted_edges(lo, hi):
-    """Sorted distinct values of ``lo`` and ``hi`` and the index of each."""
-    edges, idx = np.unique(np.concatenate((lo, hi)), return_inverse=True)
-    return edges, idx[: lo.size], idx[lo.size :]
-
-
 def _intervals(lo, hi):
-    """Distinct (lo, hi) intervals of one axis: their count, and a
-    function that builds their edges.
+    """Distinct (lo, hi) intervals of one axis: the sorted distinct
+    edges, each interval's lower and upper edge index into them, and
+    each box's interval index.
 
-    The function returns the sorted distinct edges, each interval's
-    lower and upper edge index into them, and each box's interval index.
     Grid-aligned axes, as on sampler levels and dyadic leaf sets, take
     ``_grid_intervals``.  Otherwise one sort of the lower edges finds
     the intervals when every lower edge meets one upper edge, and in any
-    other batch each box keeps an interval of its own.  The count needs
-    no sort of the edges, so a call that will not keep its tables skips
-    that sort.
+    other batch each box keeps an interval of its own.
     """
     grid = _grid_intervals(lo, hi)
     if grid is not None:
-        return grid[1].size, lambda: grid
+        return grid
     lo_u, inv = np.unique(lo, return_inverse=True)
     hi_u = np.empty_like(lo_u)
     hi_u[inv] = hi
-    if np.array_equal(hi_u[inv], hi):
-        return lo_u.size, lambda: (*_sorted_edges(lo_u, hi_u), inv)
-
-    def each_box():
-        edges, lo_idx, hi_idx = _sorted_edges(lo_u, hi)
-        return edges, lo_idx[inv], hi_idx, np.arange(hi.size)
-
-    return hi.size, each_box
+    if not np.array_equal(hi_u[inv], hi):
+        # a lower edge meets two upper edges: one interval per box
+        lo_u, hi_u, inv = lo, hi, np.arange(hi.size)
+    edges, idx = np.unique(np.concatenate((lo_u, hi_u)), return_inverse=True)
+    return edges, idx[: lo_u.size], idx[lo_u.size :], inv
 
 
 def _interval_table(edges, lo_idx, hi_idx, mid_k, s_k):
@@ -261,13 +254,12 @@ def integrate_boxes(
     acc_buf = np.empty((min(step, B), n_pairs))
     row_buf = np.empty((min(block, B), n_pairs))
     axes = [_intervals(lowers[:, k], uppers[:, k]) for k in range(d)]
-    shared = sum(count for count, _ in axes) * n_pairs <= _CHUNK_ELEMS
+    shared = sum(lo_idx.size for _, lo_idx, _, _ in axes) * n_pairs <= _CHUNK_ELEMS
     evals = 0
     if shared:
         # the call's tables fit the budget: build them once for all chunks
         tables = []
-        for k, (_, build) in enumerate(axes):
-            edges, lo_idx, hi_idx, inv = build()
+        for k, (edges, lo_idx, hi_idx, inv) in enumerate(axes):
             evals += edges.size * n_pairs
             tables.append((_interval_table(edges, lo_idx, hi_idx, mid[:, k], s[k]), inv))
     for start in range(0, B, step):
@@ -282,14 +274,19 @@ def integrate_boxes(
                 for k, (table, inv) in enumerate(chunk):
                     _multiply_rows(dst, table, inv[rows], k == 0, row_buf)
         else:
-            lo, hi = lowers[start:stop], uppers[start:stop]
-            for k in range(d):
-                _, build = _intervals(lo[:, k], hi[:, k])
-                edges, lo_idx, hi_idx, inv = build()
-                evals += edges.size * n_pairs
-                table = _interval_table(edges, lo_idx, hi_idx, mid[:, k], s[k])
+            for k, (edges, lo_idx, hi_idx, inv) in enumerate(axes):
+                # the call's intervals that the chunk's boxes use, and
+                # their edges
+                used, chunk_inv = np.unique(inv[start:stop], return_inverse=True)
+                ends, idx = np.unique(
+                    np.concatenate((lo_idx[used], hi_idx[used])), return_inverse=True
+                )
+                evals += ends.size * n_pairs
+                table = _interval_table(
+                    edges[ends], idx[: used.size], idx[used.size :], mid[:, k], s[k]
+                )
                 for rows in blocks:
-                    _multiply_rows(acc[rows], table, inv[rows], k == 0, row_buf)
+                    _multiply_rows(acc[rows], table, chunk_inv[rows], k == 0, row_buf)
                 del table  # one table alive while the next is built
         out[start:stop] = acc @ w
     if acct is not None:
@@ -312,12 +309,12 @@ def integrate(model, box: HyperRectangle, acct: IntegralAccounting | None = None
     return float(vals[0])
 
 
-def _check_pair_cap(n_pairs: int, pair_cap: float) -> None:
-    if float(n_pairs) ** 2 > pair_cap:
+def _check_pair_cap(n_pairs: int) -> None:
+    if float(n_pairs) ** 2 > _PAIR_CAP:
         raise ResourceLimitError(
             "quartic closed form needs %.3g pair products (cap %.3g); "
             "use Monte Carlo integration of the squared model instead"
-            % (float(n_pairs) ** 2, pair_cap)
+            % (float(n_pairs) ** 2, _PAIR_CAP)
         )
 
 
@@ -362,7 +359,7 @@ def _pair_gram_rows(mid, eta, box: HyperRectangle):
         yield start, stop, rows
 
 
-def pair_gram(X, eta, box: HyperRectangle, pair_cap: float = 1e8) -> NDArray[np.float64]:
+def pair_gram(X, eta, box: HyperRectangle) -> NDArray[np.float64]:
     """Gram matrix of the squared model over the unique center pairs.
 
     Pairs p = (i, j) with i <= j run in ``np.triu_indices(m)`` order.
@@ -376,15 +373,15 @@ def pair_gram(X, eta, box: HyperRectangle, pair_cap: float = 1e8) -> NDArray[np.
     The result is an (m(m+1)/2, m(m+1)/2) symmetric PSD matrix.
 
     Raises ``ResourceLimitError`` when the (m(m+1)/2)^2 pair products
-    exceed ``pair_cap``.
+    exceed ``_PAIR_CAP``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     eta = np.asarray(eta, dtype=float)
     m, d = X.shape
     if box.dim != d:
         raise ValueError("box dimension does not match the centers")
-    iu, ju = np.triu_indices(m)
-    _check_pair_cap(iu.size, pair_cap)
+    iu, ju, _, _ = _unique_pairs(m)
+    _check_pair_cap(iu.size)
     mid = 0.5 * (X[iu] + X[ju])
     # k_eta(x, x_i) k_eta(x, x_j) = k_{eta/2}(x_i, x_j) k_{2 eta}(x, mid)
     K_half = kernel_matrix(0.5 * eta, X)[iu, ju]
@@ -396,12 +393,7 @@ def pair_gram(X, eta, box: HyperRectangle, pair_cap: float = 1e8) -> NDArray[np.
     return 0.5 * (G + G.T)
 
 
-def quartic_gram(
-    X,
-    eta,
-    box: HyperRectangle,
-    pair_cap: float = 1e8,
-) -> NDArray[np.float64]:
+def quartic_gram(X, eta, box: HyperRectangle) -> NDArray[np.float64]:
     """Gram tensor of pairwise kernel products over a box.
 
     Entry (p, q), with p = (i, j) and q = (k, l) flattened row-major,
@@ -416,23 +408,19 @@ def quartic_gram(
     expanded by index, since swapping i and j leaves each entry unchanged.
 
     Raises ``ResourceLimitError`` when the m^4 pair products exceed
-    ``pair_cap``; at that size a Monte Carlo estimate of the squared
-    integral is the sane alternative.
+    ``_PAIR_CAP``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, d = X.shape
-    _check_pair_cap(m * m, pair_cap)
+    _check_pair_cap(m * m)
     if box.dim != d:
         raise ValueError("box dimension does not match the centers")
     # index of the unique pair (min(i, j), max(i, j)) for every (i, j)
-    pair = np.empty((m, m), dtype=np.intp)
-    iu, ju = np.triu_indices(m)
-    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
-    rep = pair.ravel()
-    return pair_gram(X, eta, box, pair_cap)[np.ix_(rep, rep)]
+    rep = _unique_pairs(m)[3]
+    return pair_gram(X, eta, box)[np.ix_(rep, rep)]
 
 
-def integrate_squared(model, box: HyperRectangle, pair_cap: float = 1e8) -> float:
+def integrate_squared(model, box: HyperRectangle) -> float:
     """Integral of f^2 over a box via the quartic closed form.
 
     Accumulates the bilinear form over the (m(m+1)/2)^2 unique pair
@@ -443,7 +431,7 @@ def integrate_squared(model, box: HyperRectangle, pair_cap: float = 1e8) -> floa
     mid, w = model._pair_data
     if box.dim != model.d:
         raise ValueError("box dimension does not match the model")
-    _check_pair_cap(mid.shape[0], pair_cap)
+    _check_pair_cap(mid.shape[0])
     total = 0.0
     for start, stop, rows in _pair_gram_rows(mid, model.eta, box):
         total += float(w[start:stop] @ (rows @ w))

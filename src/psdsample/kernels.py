@@ -96,6 +96,20 @@ def kernel_matrix(eta, X, Y=None) -> NDArray[np.float64]:
     return K
 
 
+def _unique_pairs(m: int):
+    """Unique center pairs (i, j), i <= j, in ``np.triu_indices(m)`` order.
+
+    Returns ``iu, ju``; ``mult``, 1 on the diagonal and 2 elsewhere, the
+    number of entries (i, j) and (j, i) each pair stands for in a
+    symmetric matrix; and ``rep``, the pair index of every entry (i, j)
+    of an m x m matrix, flattened row-major.
+    """
+    iu, ju = np.triu_indices(m)
+    pair = np.empty((m, m), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
+    return iu, ju, np.where(iu == ju, 1.0, 2.0), pair.ravel()
+
+
 def project_psd(M) -> NDArray[np.float64]:
     """Project a matrix onto the positive semidefinite cone.
 

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .boxes import HyperRectangle
-from .kernels import kernel_matrix, project_psd, validate_precisions
+from .kernels import _unique_pairs, kernel_matrix, project_psd, validate_precisions
 
 __all__ = [
     "GaussianPsdModel",
@@ -151,8 +151,8 @@ class GaussianPsdModel:
         """
         K_half = kernel_matrix(0.5 * self.eta, self.X)
         W = self.A * K_half
-        iu, ju = np.triu_indices(self.m)
-        weights = W[iu, ju] * np.where(iu == ju, 1.0, 2.0)
+        iu, ju, mult, _ = _unique_pairs(self.m)
+        weights = W[iu, ju] * mult
         mid = 0.5 * (self.X[iu] + self.X[ju])
         return mid, weights
 

@@ -24,6 +24,8 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
 # most points per integrand call, so the integrand's temporaries do not
 # grow with the number of boxes
 _BLOCK_POINTS = 2**15
+# most panels one box may use before the integrand counts as too rough
+_MAX_PANELS = 500_000
 
 
 def _tensor_rule(d: int):
@@ -54,15 +56,13 @@ def _panel_estimates(fn, lo, hi):
     return np.concatenate(out)
 
 
-def adaptive_box_quadrature(
-    fn, lower, upper, tol_abs: float = 1e-9, max_panels: int = 500_000
-):
+def adaptive_box_quadrature(fn, lower, upper, tol_abs: float = 1e-9):
     """Integrate a vectorized function over each of a batch of 1D or 2D boxes.
 
     ``lower`` and ``upper`` are (L, d) corner arrays, or (d,) for one box.
     ``fn`` maps an (n, d) array of points to n values, or to (n, k) values
     of k integrands.  Each box gets the absolute error target ``tol_abs``
-    and at most ``max_panels`` panels.  Returns the integrals as (L,) or
+    and at most ``_MAX_PANELS`` panels.  Returns the integrals as (L,) or
     (L, k), without the leading axis for one box.
     """
     lo = np.atleast_2d(np.asarray(lower, dtype=float))
@@ -99,10 +99,10 @@ def adaptive_box_quadrature(
         cells, lo, hi = np.tile(cells, 2)[keep], lo[keep], hi[keep]
         parent, live = est[keep], np.tile(live, (2, 1))[keep]
         used += np.bincount(cells, minlength=L)
-        if used.max() > max_panels:
+        if used.max() > _MAX_PANELS:
             raise ResourceLimitError(
                 "quadrature exceeded %d panels in one box; integrand is too "
-                "rough for the requested tolerance" % max_panels
+                "rough for the requested tolerance" % _MAX_PANELS
             )
     total = total.reshape(first.shape)
     return total[0] if np.ndim(lower) == 1 else total

@@ -635,6 +635,11 @@ ERROR_CASES = {
         ["sample"], {"domain": DOMAIN_1D, "sampler": {"n_samples": 5, "eps": True}},
         2, "sampler.eps must be a number",
     ),
+    # a JSON boolean, where bool("no") would run the support search
+    "sample-string-find-support": (
+        ["sample"], {"sampler": {"n_samples": 5, "rho": 0.5, "find_support": "no"}},
+        2, "sampler.find_support must be true or false",
+    ),
     "sample-boolean-support-eps": (
         ["sample", "--find-support"],
         {"sampler": {"n_samples": 5, "rho": 0.5, "support_eps": True}},

@@ -254,13 +254,14 @@ def test_psd_fit_zero_oracle_gives_zero_matrix():
     assert np.allclose(model.A, 0.0, atol=1e-12)
 
 
-def test_psd_fit_warns_when_iteration_budget_exhausted():
+def test_psd_fit_warns_when_iteration_budget_exhausted(monkeypatch):
     # clamped target is not realizable, so one step cannot converge
     p1 = get_density("signed-mixture-2d")
     cfg = FitConfig(n=200, m=4, tau=1.0, lam=1e-6, seed=13)
+    monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, report = fit_psd(p1.oracle("nonnegative"), cfg, max_iters=1)
+        _, report = fit_psd(p1.oracle("nonnegative"), cfg)
     assert any(issubclass(w.category, ConvergenceWarning) for w in caught)
     assert report.converged is False
 

@@ -219,10 +219,8 @@ def _call_erf_evals(lo, hi, pairs):
 
 def _assert_intervals_match_the_reference(lo, hi):
     for k in range(lo.shape[1]):
-        count, build = integration._intervals(lo[:, k], hi[:, k])
-        edges, lo_idx, hi_idx, inv = build()
+        edges, lo_idx, hi_idx, inv = integration._intervals(lo[:, k], hi[:, k])
         ref = intervals_reference(lo[:, k], hi[:, k])
-        assert count == lo_idx.size
         assert edges.tobytes() == ref[0].tobytes()
         for got, want in zip((lo_idx, hi_idx, inv), ref[1:]):
             assert got.dtype == want.dtype
@@ -401,6 +399,32 @@ def test_level_batches_walk_blocks_within_the_chunk_budget():
     assert acct.erf_evals == _call_erf_evals(lo, hi, 1275)
 
 
+def test_chunks_tabulate_the_call_intervals_they_use(monkeypatch):
+    # a grid-aligned level of 3 unique pairs whose 32 intervals overflow
+    # a budget of 10 boxes, so each chunk tabulates its own; the call
+    # finds each axis' intervals once, and no chunk tests its corners
+    # against the grid again
+    model = random_model(21, d=3, m=2)
+    lo, hi = _grid_level(np.random.default_rng(22), (4, 3, 3))
+    pairs = 3
+    monkeypatch.setattr(integration, "_CHUNK_ELEMS", 10 * pairs)
+    found = []
+    grid_intervals = integration._grid_intervals
+
+    def spy(lo_k, hi_k):
+        grid = grid_intervals(lo_k, hi_k)
+        found.append((lo_k.size, grid is not None))
+        return grid
+
+    monkeypatch.setattr(integration, "_grid_intervals", spy)
+    acct = IntegralAccounting()
+    vals = integrate_boxes(model, lo, hi, acct)
+    assert lo.shape[0] > 30 * 10
+    assert found == [(lo.shape[0], True)] * 3
+    assert vals.tobytes() == integrate_boxes_reference(model, lo, hi).tobytes()
+    assert acct.erf_evals == _reference_erf_evals(lo, hi, pairs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -543,14 +567,17 @@ def test_quartic_gram_is_symmetric_psd():
     assert np.linalg.eigvalsh(G).min() >= -1e-10
 
 
-def test_pair_cap_raises():
+def test_pair_cap_raises(monkeypatch):
     rng = np.random.default_rng(13)
     X = rng.normal(size=(40, 1))
     box = HyperRectangle(np.array([-1.0]), np.array([1.0]))
+    monkeypatch.setattr(integration, "_PAIR_CAP", 1e4)
     with pytest.raises(ResourceLimitError, match="2.56e\\+06 pair products"):
-        quartic_gram(X, np.array([1.0]), box, pair_cap=1e4)
+        quartic_gram(X, np.array([1.0]), box)
     # the squared integral counts unique pairs: (40 * 41 / 2)^2 = 672400
     model = GaussianPsdModel(A=np.eye(40), X=X, eta=np.array([1.0]))
+    monkeypatch.setattr(integration, "_PAIR_CAP", 6e5)
     with pytest.raises(ResourceLimitError, match="6.72e\\+05 pair products"):
-        integrate_squared(model, box, pair_cap=6e5)
-    assert integrate_squared(model, box, pair_cap=6.8e5) > 0.0
+        integrate_squared(model, box)
+    monkeypatch.setattr(integration, "_PAIR_CAP", 6.8e5)
+    assert integrate_squared(model, box) > 0.0

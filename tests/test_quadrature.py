@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from psdsample import quadrature
 from psdsample.boxes import HyperRectangle
 from psdsample.exceptions import ResourceLimitError
 from psdsample.quadrature import adaptive_box_quadrature
@@ -54,16 +55,15 @@ def test_degenerate_box_is_zero():
     assert ones == 0.0
 
 
-def test_rough_integrand_hits_panel_cap():
+def test_rough_integrand_hits_panel_cap(monkeypatch):
     box = HyperRectangle([0.0], [1.0])
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 2000)
 
     def jagged(p):
         return np.sin(1.0 / (p[:, 0] ** 2 + 1e-12))
 
     with pytest.raises(ResourceLimitError):
-        adaptive_box_quadrature(
-            jagged, box.lower, box.upper, tol_abs=1e-13, max_panels=2000
-        )
+        adaptive_box_quadrature(jagged, box.lower, box.upper, tol_abs=1e-13)
 
 
 def test_rejects_unsupported_dimension_and_unbounded():
@@ -126,15 +126,17 @@ def test_batched_columns_equal_each_column_run_alone_per_cell(d, corners, a, b):
             assert np.isclose(got[i, j], alone, rtol=1e-13, atol=0.0)
 
 
-def test_panel_cap_applies_per_cell_not_per_batch():
+def test_panel_cap_applies_per_cell_not_per_batch(monkeypatch):
     # a kink at 0.3 inside every unit cell: each cell needs a few dozen
     # panels, the batch of 8 far more than the cap of 60
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 60)
+
     def kinked(p):
         return np.abs(p[:, 0] - np.floor(p[:, 0]) - 0.3)
 
     lo = np.arange(8.0)[:, None]
-    got = adaptive_box_quadrature(kinked, lo, lo + 1.0, tol_abs=1e-10, max_panels=60)
-    alone = adaptive_box_quadrature(kinked, [0.0], [1.0], tol_abs=1e-10, max_panels=60)
+    got = adaptive_box_quadrature(kinked, lo, lo + 1.0, tol_abs=1e-10)
+    alone = adaptive_box_quadrature(kinked, [0.0], [1.0], tol_abs=1e-10)
     assert np.allclose(got, alone, rtol=1e-13, atol=0.0)
 
     def rough_first_cell(p):
@@ -142,6 +144,4 @@ def test_panel_cap_applies_per_cell_not_per_batch():
         return np.where(x < 1.0, np.sin(1.0 / (x**2 + 1e-12)), kinked(p))
 
     with pytest.raises(ResourceLimitError):
-        adaptive_box_quadrature(
-            rough_first_cell, lo, lo + 1.0, tol_abs=1e-10, max_panels=60
-        )
+        adaptive_box_quadrature(rough_first_cell, lo, lo + 1.0, tol_abs=1e-10)
