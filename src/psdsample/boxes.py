@@ -6,9 +6,9 @@ endpoints are allowed; operations that need a bounded box say so.
 
 ``split_axes`` fixes the dyadic partition with leaf size rho, the axis
 each level halves, so that every leaf is a cell of one grid.
-``left_halves`` is the one bisection core: the sampler takes its left
-halves and split points, and ``bisect`` adds the right halves that the
-quadrature needs.
+``bisect`` halves a batch of boxes, as the quadrature needs; the sampler
+and ``metrics._axis_edges`` halve the cells of the leaf grid with the
+same arithmetic, 0.5 * (lo + hi).
 ``rng_from_seed`` is the one random stream of the package's seeded draws.
 """
 
@@ -90,31 +90,20 @@ class HyperRectangle:
         return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
 
 
-def left_halves(lo, hi, axis) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Left halves of a batch of boxes bisected along ``axis``, one int or
-    one per box, for a caller that needs no right halves.
+def bisect(lo, hi, axis) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Bisect a batch of boxes along ``axis``, one int or one per box.
 
     ``lo`` and ``hi`` are (B, d) corner arrays.  Each box is split at the
     floating-point average of its endpoints, so repeated splits of a
-    dyadic box stay exact.  Returns ``(left_hi, mid)``: the left half is
-    ``(lo, left_hi)`` and ``mid`` holds the B split points.
+    dyadic box stay exact.  Returns ``(left_hi, right_lo)``: the left
+    half is ``(lo, left_hi)`` and the right half is ``(right_lo, hi)``.
     """
     rows = np.arange(lo.shape[0])
     mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
     left_hi = hi.copy()
     left_hi[rows, axis] = mid
-    return left_hi, mid
-
-
-def bisect(lo, hi, axis) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Bisect a batch of boxes as ``left_halves`` does, keeping both halves.
-
-    Returns ``(left_hi, right_lo)``: the left half is ``(lo, left_hi)``
-    and the right half is ``(right_lo, hi)``.
-    """
-    left_hi, mid = left_halves(lo, hi, axis)
     right_lo = lo.copy()
-    right_lo[np.arange(lo.shape[0]), axis] = mid
+    right_lo[rows, axis] = mid
     return left_hi, right_lo
 
 

@@ -16,11 +16,11 @@ identical, so each unique pair is evaluated once.  Each axis of a set of
 boxes has distinct edges and (lower, upper) intervals; erf(s (edge - mid))
 is evaluated once per distinct edge and unique pair, and their
 difference erf(s (hi - mid)) - erf(s (lo - mid)) is tabulated per
-interval.  Where an axis' boxes are cells of one grid, lo = o + j w and
-hi = o + (j + 1) w exactly for integers j, as on sampler levels and
-dyadic leaf sets, ``np.bincount(j)`` and two cumsums find the edges and
-intervals in linear time; any other axis sorts its edges, with the
-same result.  Each box gathers one table row per axis and multiplies it
+interval.  A caller whose boxes are cells of a partition, as the
+sampler's levels and dyadic leaf sets are, passes each axis' intervals
+(``Intervals``, built by ``_cell_intervals`` without a sort) in place of
+corner arrays; float corners sort their edges (``_intervals``), with
+the same result.  Each box gathers one table row per axis and multiplies it
 into its pair products; ``erf_evals`` counts the erfs taken.  The
 products fill a chunk of boxes by pairs, reduced by one product with the
 pair weights.  A call finds each axis' intervals once, then works in
@@ -46,6 +46,7 @@ and ``quartic_gram`` expands that to the full (m^2, m^2) tensor by index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -59,6 +60,7 @@ from .models import _as_psd
 
 __all__ = [
     "IntegralAccounting",
+    "Intervals",
     "integrate",
     "integrate_boxes",
     "integrate_squared",
@@ -115,72 +117,27 @@ class IntegralAccounting:
         self.erf_evals += other.erf_evals
 
 
-def _grid_intervals(lo, hi):
-    """Distinct edges and intervals of one axis whose boxes are cells of
-    one grid, found without a sort, or None.
+class Intervals(NamedTuple):
+    """Distinct (lower, upper) intervals of one axis of a batch of boxes.
 
-    With o the smallest lower edge and w the first box's width, every
-    box must have lo == o + j w and hi == o + (j + 1) w exactly for an
-    integer 0 <= j < 2B (B boxes, so the work stays linear in B), and
-    the edges o + e w that occur must strictly increase (where w is
-    below the spacing of floats, two of them can round to one).  Then
-    ``np.bincount(j)`` marks the intervals present and two cumsums rank
-    the edges and the intervals; the edges are the values a sort finds,
-    in the same order.
+    ``edges`` holds the sorted distinct edges, ``lo_idx`` and ``hi_idx``
+    each interval's lower and upper edge index into them, and ``inv``
+    each box's interval index.  Every interval and edge is used by a box.
     """
-    if lo.size == 0:
-        return None
-    o, top = lo.min(), hi.max()
-    # before any arithmetic: inf - inf would warn
-    if not (np.isfinite(o) and np.isfinite(top)):
-        return None
-    with np.errstate(over="ignore"):
-        w = hi[0] - lo[0]
-        if not 0.0 < w < np.inf:
-            return None
-        j = lo - o
-        j /= w
-    np.rint(j, out=j)
-    # o + j w, then o + (j + 1) w, in one buffer; an overflowed j is inf
-    # and fails the first comparison
-    grid = j * w
-    grid += o
-    if not np.array_equal(grid, lo):
-        return None
-    np.add(j, 1.0, out=grid)
-    grid *= w
-    grid += o
-    if not np.array_equal(grid, hi):
-        return None
-    if j.max() >= 2 * lo.size:
-        return None
-    j = j.astype(np.intp)
-    present = np.bincount(j) > 0
-    is_edge = np.zeros(present.size + 1, dtype=bool)
-    is_edge[:-1] = present
-    is_edge[1:] |= present
-    edges = o + np.flatnonzero(is_edge) * w
-    if np.any(edges[1:] <= edges[:-1]):
-        return None
-    edge_rank = np.cumsum(is_edge) - 1
-    lows = np.flatnonzero(present)
-    interval_rank = np.cumsum(present) - 1
-    return edges, edge_rank[lows], edge_rank[lows + 1], interval_rank[j]
+
+    edges: NDArray[np.float64]
+    lo_idx: NDArray[np.intp]
+    hi_idx: NDArray[np.intp]
+    inv: NDArray[np.intp]
 
 
-def _intervals(lo, hi):
-    """Distinct (lo, hi) intervals of one axis: the sorted distinct
-    edges, each interval's lower and upper edge index into them, and
-    each box's interval index.
+def _intervals(lo, hi) -> Intervals:
+    """The intervals of one axis' float corners.
 
-    Grid-aligned axes, as on sampler levels and dyadic leaf sets, take
-    ``_grid_intervals``.  Otherwise one sort of the lower edges finds
-    the intervals when every lower edge meets one upper edge, and in any
+    One sort of the lower edges finds them when every lower edge meets
+    one upper edge, as on sampler levels and dyadic leaf sets; in any
     other batch each box keeps an interval of its own.
     """
-    grid = _grid_intervals(lo, hi)
-    if grid is not None:
-        return grid
     lo_u, inv = np.unique(lo, return_inverse=True)
     hi_u = np.empty_like(lo_u)
     hi_u[inv] = hi
@@ -188,7 +145,30 @@ def _intervals(lo, hi):
         # a lower edge meets two upper edges: one interval per box
         lo_u, hi_u, inv = lo, hi, np.arange(hi.size)
     edges, idx = np.unique(np.concatenate((lo_u, hi_u)), return_inverse=True)
-    return edges, idx[: lo_u.size], idx[lo_u.size :], inv
+    return Intervals(edges, idx[: lo_u.size], idx[lo_u.size :], inv)
+
+
+def _cell_intervals(lo, hi, inv) -> Intervals:
+    """The intervals of one axis whose boxes are cells of a partition,
+    found without a sort.
+
+    Cell i spans [lo[i], hi[i]], and the cells come in order, so that
+    lo[0] <= hi[0] <= lo[1] <= hi[1] <= ...; box b lies in cell inv[b],
+    and every cell holds a box.  Equal neighbours in that sequence are
+    one edge: split points that round onto an edge leave zero-width
+    cells.  Where a lower edge then bounds two cells, the boxes' float
+    corners go to ``_intervals``, so that the result is always the one
+    ``_intervals`` finds for the same boxes.
+    """
+    ends = np.stack((lo, hi), axis=1).ravel()
+    new = np.empty(ends.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ends[1:], ends[:-1], out=new[1:])
+    rank = np.cumsum(new) - 1
+    lo_idx = rank[0::2]
+    if np.any(lo_idx[1:] == lo_idx[:-1]):
+        return _intervals(lo[inv], hi[inv])
+    return Intervals(ends[new], lo_idx, rank[1::2], inv)
 
 
 def _interval_table(edges, lo_idx, hi_idx, mid_k, s_k):
@@ -219,32 +199,41 @@ def _multiply_rows(dst, table, idx, first, buf):
 def integrate_boxes(
     model,
     lowers,
-    uppers,
+    uppers=None,
     acct: IntegralAccounting | None = None,
 ) -> NDArray[np.float64]:
     """Integral of the model over a batch of boxes.
 
     ``lowers`` and ``uppers`` are (B, d) corner arrays (infinities
-    allowed).  Returns a length-B vector, clamped at zero since roundoff
-    can leave residuals of order -1e-12 on a PSD model.
+    allowed).  Or ``lowers`` holds the boxes' d ``Intervals``, one per
+    axis, as ``_intervals`` or ``_cell_intervals`` find them, and
+    ``uppers`` is None; the result is the same to the bit.  Returns a
+    length-B vector, clamped at zero since roundoff can leave residuals
+    of order -1e-12 on a PSD model.
     """
     model = _as_psd(model)
     mid, w = model._pair_data
-    lowers = np.atleast_2d(np.asarray(lowers, dtype=float))
-    uppers = np.atleast_2d(np.asarray(uppers, dtype=float))
     d = model.d
-    if lowers.shape != uppers.shape or lowers.shape[1] != d:
-        raise ValueError("corner arrays must both be (B, d)")
-    if np.any(np.isnan(lowers)) or np.any(np.isnan(uppers)):
-        raise ValueError("box corners must not be NaN")
-    if np.any(lowers > uppers):
-        raise ValueError("need lower <= upper for every box")
+    if uppers is None:
+        axes = list(lowers)
+        if len(axes) != d or not all(isinstance(t, Intervals) for t in axes):
+            raise ValueError("need one Intervals table per axis, or upper corners")
+    else:
+        lowers = np.atleast_2d(np.asarray(lowers, dtype=float))
+        uppers = np.atleast_2d(np.asarray(uppers, dtype=float))
+        if lowers.shape != uppers.shape or lowers.shape[1] != d:
+            raise ValueError("corner arrays must both be (B, d)")
+        if np.any(np.isnan(lowers)) or np.any(np.isnan(uppers)):
+            raise ValueError("box corners must not be NaN")
+        if np.any(lowers > uppers):
+            raise ValueError("need lower <= upper for every box")
+        axes = [_intervals(lowers[:, k], uppers[:, k]) for k in range(d)]
 
     s = np.sqrt(2.0 * model.eta)  # per-coordinate scale of k_{2 eta}
     # (pi/4)^{d/2} * det(diag(2 eta))^{-1/2}
     c = float(np.prod(np.sqrt(np.pi) / (2.0 * s)))
 
-    B = lowers.shape[0]
+    B = axes[0].inv.size
     n_pairs = mid.shape[0]
     out = np.empty(B)
     step = max(1, _CHUNK_ELEMS // max(1, n_pairs))
@@ -253,8 +242,7 @@ def integrate_boxes(
     # temporaries for every chunk cost a page fault per 4 KB page.
     acc_buf = np.empty((min(step, B), n_pairs))
     row_buf = np.empty((min(block, B), n_pairs))
-    axes = [_intervals(lowers[:, k], uppers[:, k]) for k in range(d)]
-    shared = sum(lo_idx.size for _, lo_idx, _, _ in axes) * n_pairs <= _CHUNK_ELEMS
+    shared = sum(t.lo_idx.size for t in axes) * n_pairs <= _CHUNK_ELEMS
     evals = 0
     if shared:
         # the call's tables fit the budget: build them once for all chunks
@@ -293,8 +281,15 @@ def integrate_boxes(
         # The counter reports the closed form's term count: one erf per
         # pair (i, j) per finite bound, even though symmetric duplicates
         # and shared intervals are evaluated once.
-        finite_bounds = np.isfinite(lowers).sum() + np.isfinite(uppers).sum()
-        acct.erf_calls += int(finite_bounds) * model.m**2
+        finite_bounds = 0
+        for edges, lo_idx, hi_idx, inv in axes:
+            finite = np.isfinite(edges)
+            if finite.all():
+                finite_bounds += 2 * B
+            else:
+                for ends in (lo_idx, hi_idx):
+                    finite_bounds += int(np.count_nonzero(finite[ends][inv]))
+        acct.erf_calls += finite_bounds * model.m**2
         acct.erf_evals += evals
         acct.integral_evals += B
     np.maximum(out, 0.0, out=out)

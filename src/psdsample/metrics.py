@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from .boxes import HyperRectangle, split_axes
 from .exceptions import EmptyMassError, ResourceLimitError
-from .integration import IntegralAccounting, integrate_boxes
+from .integration import IntegralAccounting, _cell_intervals, integrate_boxes
 from .models import lipschitz_bounds
 from .quadrature import adaptive_box_quadrature
 
@@ -123,7 +123,8 @@ def dyadic_density(
     cells = np.indices([e.size - 1 for e in edges]).reshape(box.dim, -1)
     lo = np.stack([e[c] for e, c in zip(edges, cells)], axis=1)
     hi = np.stack([e[c + 1] for e, c in zip(edges, cells)], axis=1)
-    masses = integrate_boxes(model, lo, hi, acct)
+    tables = [_cell_intervals(e[:-1], e[1:], c) for e, c in zip(edges, cells)]
+    masses = integrate_boxes(model, tables, None, acct)
     total = float(masses.sum())
     if total <= 0.0:
         raise EmptyMassError("model has zero mass on the requested box")

@@ -28,9 +28,15 @@ than that count, and tabulates their differences per interval.
 
 The recursion is one walk over the ``split_axes`` schedule, the boxes
 of a level batched into single vectorized calls; a child whose computed
-mass is zero gets no draws.  The children that get draws, left halves
-first, are gathered by one index per level and take the split value
-on the halved axis.  The leaves are filled once, after the last
+mass is zero gets no draws.  The walk carries no float corners.  Each
+axis keeps the float edges of its cells that hold nodes, in order, and
+each node the index of its cell on every axis; so a level hands
+``integrate_boxes`` each axis' intervals (``integration._cell_intervals``)
+without a sort.  The children that get draws, left halves first, are
+gathered by one index per level.  On the halved axis, child 2i or
+2i + 1 of cell i is renumbered over the children present by one
+bincount and cumsum, so each axis' cells stay as few as its nodes.  The
+leaves' corners are formed, and the leaves filled, once, after the last
 level, and the final permutation alone orders the output.  Randomness
 comes from one counter-based Philox stream keyed on the seed: binomial
 uniforms level by level, then leaf uniforms, then the permutation.
@@ -49,9 +55,9 @@ from numpy.typing import NDArray
 from scipy.special._ufuncs import _binom_ppf as _ppf_kernel
 from scipy.special._ufuncs import bdtr, bdtrc
 
-from .boxes import HyperRectangle, left_halves, rng_from_seed, split_axes
+from .boxes import HyperRectangle, rng_from_seed, split_axes
 from .exceptions import EmptyMassError, ResourceLimitError, UnboundedDomainError
-from .integration import IntegralAccounting, integrate, integrate_boxes
+from .integration import IntegralAccounting, _cell_intervals, integrate, integrate_boxes
 from .models import lipschitz_bounds
 
 __all__ = [
@@ -189,13 +195,21 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
     if root_mass <= 0.0:
         raise EmptyMassError("model has zero mass on the requested box")
 
-    lo = box.lower[None, :].copy()
-    hi = box.upper[None, :].copy()
+    # Each axis' cells: their float lower and upper edges in order, and
+    # each node's cell
+    cell_lo = [box.lower[k : k + 1] for k in range(d)]
+    cell_hi = [box.upper[k : k + 1] for k in range(d)]
+    cell = np.zeros((d, 1), dtype=np.intp)
     mass = np.array([root_mass])
     cnt = np.array([n_total], dtype=np.int64)
     for axis in split_axes(box, rho):
-        left_hi, mid = left_halves(lo, hi, axis)
-        left_mass = integrate_boxes(model, lo, left_hi, acct)
+        # the left halves' cells on the halved axis end at the split points
+        split = 0.5 * (cell_lo[axis] + cell_hi[axis])
+        tables = [
+            _cell_intervals(cell_lo[j], split if j == axis else cell_hi[j], cell[j])
+            for j in range(d)
+        ]
+        left_mass = integrate_boxes(model, tables, None, acct)
         np.minimum(left_mass, mass, out=left_mass)
         right_mass = mass - left_mass
         k = _binomial_inversion(rng, cnt, left_mass / mass)
@@ -206,15 +220,20 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
         take_l = np.flatnonzero(k > 0)
         take_r = np.flatnonzero(k < cnt)
         idx = np.concatenate((take_l, take_r))
-        split = mid[idx]
-        lo = lo.take(idx, axis=0)
-        hi = hi.take(idx, axis=0)
-        n_left = take_l.size
-        hi[:n_left, axis] = split[:n_left]
-        lo[n_left:, axis] = split[n_left:]
+        cell = cell.take(idx, axis=1)
+        # child 2i (left) or 2i + 1 (right) of cell i, renumbered over
+        # the children that get draws
+        child = 2 * cell[axis]
+        child[take_l.size :] += 1
+        present = np.bincount(child, minlength=2 * split.size) > 0
+        cell[axis] = (np.cumsum(present) - 1)[child]
+        cell_lo[axis] = np.stack((cell_lo[axis], split), axis=1).ravel()[present]
+        cell_hi[axis] = np.stack((split, cell_hi[axis]), axis=1).ravel()[present]
         mass = np.concatenate((left_mass[take_l], right_mass[take_r]))
         cnt = np.concatenate((k[take_l], (cnt - k)[take_r]))
 
+    lo = np.stack([edge[c] for edge, c in zip(cell_lo, cell)], axis=1)
+    hi = np.stack([edge[c] for edge, c in zip(cell_hi, cell)], axis=1)
     u = rng.random((n_total, d))
     out = np.repeat(lo, cnt, axis=0) + u * np.repeat(hi - lo, cnt, axis=0)
     return SampleRun(out[rng.permutation(n_total)], acct, rho, lo.shape[0])

@@ -17,6 +17,7 @@ from psdsample.integration import (
     pair_gram,
     quartic_gram,
 )
+from psdsample.metrics import _axis_edges
 from psdsample.models import GaussianPsdModel, RankOneModel
 
 from oracles import gl_box_integral, integrate_boxes_reference, intervals_reference
@@ -238,13 +239,6 @@ def test_intervals_match_the_sorting_reference(seed, d, dyadic, edit):
     rng = np.random.default_rng(seed)
     lo, hi = _level_batch(rng, d, dyadic)
     n = lo.shape[0]
-    if dyadic:
-        # exact arithmetic puts every axis of a dyadic level on its grid;
-        # it is counted unless its boxes span more than 2n cells
-        for k in range(d):
-            cells = (hi[:, k].max() - lo[:, k].min()) / (hi[0, k] - lo[0, k])
-            grid = integration._grid_intervals(lo[:, k], hi[:, k])
-            assert (grid is not None) == (cells <= 2 * n)
     i, k = rng.integers(n), rng.integers(d)
     if edit == "inf":
         lo[i, k] = -np.inf
@@ -263,8 +257,6 @@ def test_intervals_match_the_sorting_reference(seed, d, dyadic, edit):
         if n == 1:
             lo, hi = np.concatenate((lo, lo)), np.concatenate((hi, hi))
         hi[-1, k] = np.nextafter(hi[-1, k], np.inf)
-        if dyadic:
-            assert integration._grid_intervals(lo[:, k], hi[:, k]) is None
     _assert_intervals_match_the_reference(lo, hi)
 
 
@@ -287,7 +279,6 @@ def test_intervals_match_the_sorting_reference(seed, d, dyadic, edit):
 )
 def test_axes_off_a_grid_take_the_sort(lo, hi):
     lo, hi = np.array(lo), np.array(hi)
-    assert integration._grid_intervals(lo, hi) is None
     _assert_intervals_match_the_reference(lo[:, None], hi[:, None])
 
 
@@ -402,27 +393,83 @@ def test_level_batches_walk_blocks_within_the_chunk_budget():
 def test_chunks_tabulate_the_call_intervals_they_use(monkeypatch):
     # a grid-aligned level of 3 unique pairs whose 32 intervals overflow
     # a budget of 10 boxes, so each chunk tabulates its own; the call
-    # finds each axis' intervals once, and no chunk tests its corners
-    # against the grid again
+    # finds each axis' intervals once, and no chunk sorts its corners
+    # again
     model = random_model(21, d=3, m=2)
     lo, hi = _grid_level(np.random.default_rng(22), (4, 3, 3))
     pairs = 3
     monkeypatch.setattr(integration, "_CHUNK_ELEMS", 10 * pairs)
     found = []
-    grid_intervals = integration._grid_intervals
+    intervals = integration._intervals
 
     def spy(lo_k, hi_k):
-        grid = grid_intervals(lo_k, hi_k)
-        found.append((lo_k.size, grid is not None))
-        return grid
+        found.append(lo_k.size)
+        return intervals(lo_k, hi_k)
 
-    monkeypatch.setattr(integration, "_grid_intervals", spy)
+    monkeypatch.setattr(integration, "_intervals", spy)
     acct = IntegralAccounting()
     vals = integrate_boxes(model, lo, hi, acct)
     assert lo.shape[0] > 30 * 10
-    assert found == [(lo.shape[0], True)] * 3
+    assert found == [lo.shape[0]] * 3
     assert vals.tobytes() == integrate_boxes_reference(model, lo, hi).tobytes()
     assert acct.erf_evals == _reference_erf_evals(lo, hi, pairs)
+
+
+def _cell_level(rng, d, tiny):
+    """Each axis' cells and each node's cell on one sampler-like level:
+    a box halved a few times per axis, random nodes among its cells,
+    and the first axis' cells ending at their split points, as in the
+    sampler's left-half call.  On a tiny box, whose sides span a few
+    ulps, split points round onto edges and leave zero-width cells."""
+    lower = rng.integers(-20, 20, size=d) / 10.0
+    if tiny:
+        side = np.abs(lower) * 2.0**-52 * rng.integers(1, 9, size=d) + 2.0**-60
+    else:
+        side = rng.integers(1, 40, size=d) / 10.0
+    box = HyperRectangle(lower, lower + side)
+    edges = _axis_edges(box, rng.integers(0, d, size=int(rng.integers(0, 3 * d + 4))))
+    n = int(rng.integers(1, 60))
+    cells = []
+    for k, e in enumerate(edges):
+        cell_lo, cell_hi = e[:-1], e[1:]
+        if k == 0:
+            cell_hi = 0.5 * (cell_lo + cell_hi)
+        used, inv = np.unique(rng.integers(0, cell_lo.size, size=n), return_inverse=True)
+        cells.append((cell_lo[used], cell_hi[used], inv))
+    return cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+)
+def test_cell_tables_and_float_corners_give_the_same_bytes(seed, d, m, tiny, per_chunk):
+    model = random_model(seed, d, m)
+    cells = _cell_level(np.random.default_rng(seed), d, tiny)
+    tables = [integration._cell_intervals(*c) for c in cells]
+    lo = np.stack([cell_lo[inv] for cell_lo, _, inv in cells], axis=1)
+    hi = np.stack([cell_hi[inv] for _, cell_hi, inv in cells], axis=1)
+    for k, table in enumerate(tables):
+        # the table the sort finds on the same corners
+        want = integration._intervals(lo[:, k], hi[:, k])
+        assert table.edges.tobytes() == want.edges.tobytes()
+        for got, ref in zip(table[1:], want[1:]):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+    pairs = m * (m + 1) // 2
+    with pytest.MonkeyPatch.context() as patch:
+        if per_chunk:
+            # chunks of three boxes, each tabulating its own intervals
+            patch.setattr(integration, "_CHUNK_ELEMS", 3 * pairs)
+        acct, ref_acct = IntegralAccounting(), IntegralAccounting()
+        vals = integrate_boxes(model, tables, None, acct)
+        ref = integrate_boxes(model, lo, hi, ref_acct)
+    assert vals.tobytes() == ref.tobytes()
+    assert acct == ref_acct
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,6 +552,12 @@ def test_corner_validation():
         integrate_boxes(model, np.array([[0.0]]), np.array([[np.nan]]))
     with pytest.raises(ValueError):
         integrate_boxes(model, np.array([[1.0]]), np.array([[0.0]]))
+    # lower corners alone, or a table for each of two axes of a 1-D model
+    with pytest.raises(ValueError):
+        integrate_boxes(model, np.array([[0.0]]))
+    table = integration._intervals(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        integrate_boxes(model, [table, table])
 
 
 def test_integrate_squared_unit_model_frozen_value():

@@ -241,6 +241,55 @@ def test_a_zero_mass_half_gets_no_draws(monkeypatch):
     assert np.all((run.samples >= 0.0) & (run.samples < 20.0))
 
 
+def _assert_the_reference_walk(model, box, params):
+    run = sample(model, box, params)
+    ref = sample_reference(model, box, params)
+    order = np.lexsort(run.samples.T[::-1])
+    ref_order = np.lexsort(ref.samples.T[::-1])
+    assert run.samples[order].tobytes() == ref.samples[ref_order].tobytes()
+    assert run.accounting == ref.accounting
+    assert run.leaf_count == ref.leaf_count
+    return run
+
+
+@pytest.mark.parametrize(
+    "box,rho,n",
+    [
+        # a side of 16 ulps, halved 22 times
+        (HyperRectangle(np.array([1.0]), np.array([1.0 + 2.0**-48])), 2.0**-70, 1000),
+        # a side of a few ulps below 2^-60, halved 51 times, next to one
+        # halved 50 times
+        (HyperRectangle(np.array([0.0, 0.0]), np.array([2e-3 + 2.0**-40, 1e-3])), 2.0**-60, 300),
+    ],
+)
+def test_split_points_that_round_onto_an_edge_walk_as_the_reference(box, rho, n):
+    # past the spacing of floats a split point rounds onto an edge of
+    # its cell; the cell tables count such an edge once, as the sort of
+    # the reference's float corners does
+    X = np.linspace(box.lower, box.upper, 2)
+    model = GaussianPsdModel(A=np.array([[0.6, -0.2], [-0.2, 0.5]]), X=X, eta=np.full(box.dim, 2.0))
+    _assert_the_reference_walk(model, box, SamplerParams(rho=rho, n_samples=n, seed=7))
+
+
+def test_a_deep_walk_keeps_its_tables_within_the_cells_present(monkeypatch):
+    # 41 levels on [-1, 1]: a dense table of the leaf grid would hold
+    # 2^41 edges, the cells present at most two per node
+    calls = []
+
+    def spy(model, tables, uppers, acct):
+        assert uppers is None
+        calls.append(max(t.edges.size - 2 * t.inv.size for t in tables))
+        return integrate_boxes(model, tables, uppers, acct)
+
+    monkeypatch.setattr(sampler_module, "integrate_boxes", spy)
+    box = HyperRectangle(np.array([-1.0]), np.array([1.0]))
+    params = SamplerParams(rho=2.0**-40, n_samples=1000, seed=8)
+    run = _assert_the_reference_walk(two_center_model(), box, params)
+    assert len(calls) == split_axes(box, params.rho).size == 41
+    assert max(calls) <= 0
+    assert run.leaf_count == 1000
+
+
 def test_sample_moments_match_cubature():
     model = two_center_model()
     box = HyperRectangle(np.array([-3.0]), np.array([3.0]))
