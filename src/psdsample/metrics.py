@@ -232,33 +232,34 @@ def _kernel_sum(X, Y, eta, symmetric: bool = False) -> float:
     with a.  With ``symmetric`` (Y is X) only blocks on and above the
     diagonal are formed and the strict upper part counts twice.  Where
     2 eta overflows or eta |p - c|^2 exceeds ``_FACTOR_LIMIT`` at some
-    point, the shifted sets go to ``_clamped_kernel_sum`` instead.
+    point, the caller's sets go to ``_clamped_kernel_sum`` instead.
     """
     eta = float(eta)
     lo, hi = X.min(axis=0), X.max(axis=0)
     if not symmetric:
         lo, hi = np.minimum(lo, Y.min(axis=0)), np.maximum(hi, Y.max(axis=0))
     center = 0.5 * (lo + hi)
-    X = X - center
-    Y = X if symmetric else Y - center
+    Xc = X - center
+    Yc = Xc if symmetric else Y - center
     # squared norms of the shifted rows, made into the factors a and b below
-    a = np.einsum("ij,ij->i", X, X)
-    b = a if symmetric else np.einsum("ij,ij->i", Y, Y)
+    a = np.einsum("ij,ij->i", Xc, Xc)
+    b = a if symmetric else np.einsum("ij,ij->i", Yc, Yc)
     # as a quotient, so that a huge eta cannot overflow the test itself
     if not (np.isfinite(2.0 * eta) and max(a.max(), b.max()) <= _FACTOR_LIMIT / eta):
+        # differences of the caller's rows lose no digits to the shift
         return _clamped_kernel_sum(X, Y, eta, symmetric)
     a = np.exp(-eta * a)
     b = a if symmetric else np.exp(-eta * b)
-    # scaled in place where Y is a shifted copy of the caller's set
-    Y2 = 2.0 * eta * X if symmetric else np.multiply(Y, 2.0 * eta, out=Y)
-    n, m = X.shape[0], Y2.shape[0]
+    # scaled in place, Yc being a shifted copy of the caller's set
+    Y2 = 2.0 * eta * Xc if symmetric else np.multiply(Yc, 2.0 * eta, out=Yc)
+    n, m = Xc.shape[0], Y2.shape[0]
     buf = np.empty(min(_BLOCK_ROWS, n) * m)
     total = 0.0
     for start in range(0, n, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n - start)
         first = start if symmetric else 0
         out = buf[: rows * (m - first)].reshape(rows, m - first)
-        np.matmul(X[start : start + rows], Y2[first:].T, out=out)
+        np.matmul(Xc[start : start + rows], Y2[first:].T, out=out)
         np.exp(out, out=out)
         if symmetric:
             diag = first + rows
@@ -272,28 +273,34 @@ def _kernel_sum(X, Y, eta, symmetric: bool = False) -> float:
 def _clamped_kernel_sum(X, Y, eta, symmetric: bool = False) -> float:
     """``_kernel_sum`` for any finite eta and spread of the sets.
 
-    Each block of rows takes one matmul of the augmented operands
-    [x, -|x|^2, 1] and [2y, 1, -|y|^2] into one reused buffer; the clamp
-    at 0, the scaling by eta and the exp run in place.  With
-    ``symmetric`` (Y is X) only blocks on and above the diagonal are
-    formed and the strict upper part counts twice.
+    Each block of rows sums |x - y|^2 axis by axis from the differences
+    of the coordinates, which cancels no digits however far apart the
+    sets lie.  The sum goes into one reused buffer, each axis' squares
+    through a second; the scaling by -eta and the exp run in place.  The
+    two buffers take half as many rows as ``_kernel_sum``'s one, so they
+    take as much memory.  With ``symmetric`` (Y is X) only blocks on and
+    above the diagonal are formed and the strict upper part counts
+    twice.
     """
-    n, m = X.shape[0], Y.shape[0]
-    x2 = np.einsum("ij,ij->i", X, X)
-    y2 = x2 if symmetric else np.einsum("ij,ij->i", Y, Y)
-    Xa = np.column_stack([X, -x2, np.ones(n)])
-    Ya = np.column_stack([2.0 * Y, np.ones(m), -y2])
-    buf = np.empty(min(_BLOCK_ROWS, n) * m)
+    n, d = X.shape
+    m = Y.shape[0]
+    Yt = Y.T.copy()
+    block_rows = _BLOCK_ROWS // 2
+    bufs = np.empty((2, min(block_rows, n) * m))
     total = 0.0
-    # eta scales only values <= 0: an overflow to -inf is a kernel value of 0
+    # the squared distances are >= 0: one that overflows to inf scales to
+    # -inf, a kernel value of 0
     with np.errstate(over="ignore"):
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = min(_BLOCK_ROWS, n - start)
+        for start in range(0, n, block_rows):
+            rows = min(block_rows, n - start)
             first = start if symmetric else 0
-            out = buf[: rows * (m - first)].reshape(rows, m - first)
-            np.matmul(Xa[start : start + rows], Ya[first:].T, out=out)
-            np.minimum(out, 0.0, out=out)
-            out *= eta
+            out, sq = (buf[: rows * (m - first)].reshape(rows, m - first) for buf in bufs)
+            out.fill(0.0)
+            for j in range(d):
+                np.subtract(X[start : start + rows, j, None], Yt[j, None, first:], out=sq)
+                sq *= sq
+                out += sq
+            out *= -eta
             np.exp(out, out=out)
             if symmetric:
                 total += float(out[:, :rows].sum()) + 2.0 * float(out[:, rows:].sum())

@@ -35,12 +35,18 @@ each node the index of its cell on every axis; so a level hands
 without a sort.  The children that get draws, left halves first, are
 gathered by one index per level.  On the halved axis, child 2i or
 2i + 1 of cell i is renumbered over the children present by one
-bincount and cumsum, so each axis' cells stay as few as its nodes.  The
-leaves' corners are formed, and the leaves filled, once, after the last
-level, and the final permutation alone orders the output.  Randomness
-comes from one counter-based Philox stream keyed on the seed: binomial
-uniforms level by level, then leaf uniforms, then the permutation.
-Identical seed and inputs reproduce the run bit for bit.
+bincount and cumsum, so each axis' cells stay as few as its nodes.  A
+level keeps only its nodes' cells, masses and counts once its children
+are formed.  After the last level the leaves are filled in place by
+index: each leaf's draws are consecutive rows of one (N, d) uniform
+draw, in node order, and each axis scales and shifts its column by the
+side and lower edge of the cell that row's leaf holds, gathered per
+row; no leaf corners are formed.  The final permutation alone orders
+the output, so the peak memory per draw is a small multiple of the
+output's 8 d bytes.  Randomness comes from one counter-based Philox
+stream keyed on the seed: binomial uniforms level by level, then leaf
+uniforms, then the permutation.  Identical seed and inputs reproduce
+the run bit for bit.
 """
 
 from __future__ import annotations
@@ -161,7 +167,11 @@ def _binomial_inversion(
     u = rng.random(n.size)
     p = 1.0 - q
     k = (u > p).astype(np.int64)
-    exact = np.flatnonzero((n != 1) | (np.abs(u - p) <= 1e-14 * p))
+    # |u - p| <= 1e-14 p, with p and one temporary scaled in place
+    band = np.subtract(u, p)
+    np.abs(band, out=band)
+    p *= 1e-14
+    exact = np.flatnonzero((n != 1) | (band <= p))
     n_exact = n[exact]
     k_exact = _binom_ppf(u[exact], n_exact, q[exact])
     k[exact] = np.clip(k_exact, 0, n_exact).astype(np.int64)
@@ -177,6 +187,8 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
     A child gets draws only if its computed mass is positive (a zero-mass
     right half sends them all left), so every box the walk keeps has
     positive mass and count, and ``left_mass / mass`` never divides by 0.
+    The leaves are filled in place, an axis at a time, in the rows of
+    one uniform draw, which the final permutation orders.
     """
     if box.dim != model.d:
         raise ValueError("box dimension does not match the model")
@@ -196,10 +208,10 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
         raise EmptyMassError("model has zero mass on the requested box")
 
     # Each axis' cells: their float lower and upper edges in order, and
-    # each node's cell
+    # each node's cell, one row per axis
     cell_lo = [box.lower[k : k + 1] for k in range(d)]
     cell_hi = [box.upper[k : k + 1] for k in range(d)]
-    cell = np.zeros((d, 1), dtype=np.intp)
+    cell = [np.zeros(1, dtype=np.intp) for _ in range(d)]
     mass = np.array([root_mass])
     cnt = np.array([n_total], dtype=np.int64)
     for axis in split_axes(box, rho):
@@ -210,33 +222,52 @@ def sample(model, box: HyperRectangle, params: SamplerParams) -> SampleRun:
             for j in range(d)
         ]
         left_mass = integrate_boxes(model, tables, None, acct)
+        del tables
         np.minimum(left_mass, mass, out=left_mass)
-        right_mass = mass - left_mass
         k = _binomial_inversion(rng, cnt, left_mass / mass)
+        # the right halves' masses, in their parents' array
+        right_mass = np.subtract(mass, left_mass, out=mass)
         # the quantile at u = 0 is 0 even when q = 1
-        k = np.where(right_mass > 0.0, k, cnt)
+        np.copyto(k, cnt, where=~(right_mass > 0.0))
 
-        # the children that get draws, left halves first, in one gather
+        # the children that get draws, left halves first
         take_l = np.flatnonzero(k > 0)
         take_r = np.flatnonzero(k < cnt)
+        mass = np.concatenate((left_mass[take_l], right_mass[take_r]))
+        cnt = np.concatenate((k[take_l], (cnt - k)[take_r]))
+        n_left = take_l.size
+        del left_mass, right_mass, k
         idx = np.concatenate((take_l, take_r))
-        cell = cell.take(idx, axis=1)
+        del take_l, take_r
+        # one gather per axis, each row replaced in turn
+        for j in range(d):
+            cell[j] = cell[j][idx]
+        del idx
         # child 2i (left) or 2i + 1 (right) of cell i, renumbered over
         # the children that get draws
         child = 2 * cell[axis]
-        child[take_l.size :] += 1
+        child[n_left:] += 1
         present = np.bincount(child, minlength=2 * split.size) > 0
         cell[axis] = (np.cumsum(present) - 1)[child]
+        del child
         cell_lo[axis] = np.stack((cell_lo[axis], split), axis=1).ravel()[present]
         cell_hi[axis] = np.stack((split, cell_hi[axis]), axis=1).ravel()[present]
-        mass = np.concatenate((left_mass[take_l], right_mass[take_r]))
-        cnt = np.concatenate((k[take_l], (cnt - k)[take_r]))
 
-    lo = np.stack([edge[c] for edge, c in zip(cell_lo, cell)], axis=1)
-    hi = np.stack([edge[c] for edge, c in zip(cell_hi, cell)], axis=1)
+    # Leaf i's draws are rows of one uniform draw, in node order, scaled
+    # and shifted in place an axis at a time by its cell's side and lower
+    # edge, each cell row released once used
+    leaf_count = cnt.size
+    leaf = np.repeat(np.arange(leaf_count), cnt)
+    del mass, cnt
     u = rng.random((n_total, d))
-    out = np.repeat(lo, cnt, axis=0) + u * np.repeat(hi - lo, cnt, axis=0)
-    return SampleRun(out[rng.permutation(n_total)], acct, rho, lo.shape[0])
+    for j in range(d):
+        c = cell[j][leaf]
+        cell[j] = None
+        u[:, j] *= (cell_hi[j] - cell_lo[j])[c]
+        u[:, j] += cell_lo[j][c]
+        del c
+    del leaf
+    return SampleRun(u.take(rng.permutation(n_total), axis=0), acct, rho, leaf_count)
 
 
 def adaptive_rho(model, box: HyperRectangle, epsilon: float, metric: str = "tv") -> float:

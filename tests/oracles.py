@@ -4,7 +4,8 @@ Kept deliberately separate from the package's own quadrature so the
 tests cross-check against a second implementation: fixed-panel tensor
 Gauss-Legendre cubature, plenty for smooth Gaussian integrands in up to
 three dimensions.  ``sample_reference`` keeps the sampler's earlier
-level loop, which filled leaves level by level at tree-order offsets.
+level loop, which filled leaves level by level, each level's in node
+order.
 ``integrate_boxes_reference`` keeps the earlier box-batch integral,
 which evaluated erf per distinct edge in every chunk, and
 ``intervals_reference`` the earlier ``integration._intervals``, which
@@ -84,18 +85,18 @@ def pairwise_kernel_sum(X, Y, eta):
 
 
 def sample_reference(model, box, params):
-    """``sampler.sample`` as a level loop with per-level fills and
-    tree-order output offsets; same draws, other row order."""
+    """``sampler.sample`` as a level loop with per-level fills in node
+    order; the same draws in the same row order."""
     n_total = int(params.n_samples)
     d = box.dim
     rng = rng_from_seed(int(params.seed))
     acct = IntegralAccounting()
     root_mass = integrate(model, box, acct)
 
-    out = np.empty((n_total, d))
+    pieces = []
     leaf_count = 0
     if n_total == 0:
-        return SampleRun(out, acct, float(params.rho), leaf_count)
+        return SampleRun(np.empty((0, d)), acct, float(params.rho), leaf_count)
     if root_mass <= 0.0:
         raise EmptyMassError("model has zero mass on the requested box")
 
@@ -106,7 +107,6 @@ def sample_reference(model, box, params):
     hi = box.upper[None, :].copy()
     mass = np.array([root_mass])
     cnt = np.array([n_total], dtype=np.int64)
-    off = np.zeros(1, dtype=np.int64)
 
     for level in range(axes.size + 1):
         fill = (mass <= 0.0) | (level == axes.size)
@@ -114,13 +114,10 @@ def sample_reference(model, box, params):
         if np.any(fill):
             idx = np.nonzero(fill)[0]
             counts_f = cnt[idx]
-            total = int(counts_f.sum())
-            u = rng.random((total, d))
+            u = rng.random((int(counts_f.sum()), d))
             rep_lo = np.repeat(lo[idx], counts_f, axis=0)
             rep_side = np.repeat(hi[idx] - lo[idx], counts_f, axis=0)
-            starts = np.concatenate(([0], np.cumsum(counts_f)[:-1]))
-            dest = np.repeat(off[idx] - starts, counts_f) + np.arange(total)
-            out[dest] = rep_lo + u * rep_side
+            pieces.append(rep_lo + u * rep_side)
             leaf_count += idx.size
 
         keep = np.nonzero(~fill)[0]
@@ -130,7 +127,6 @@ def sample_reference(model, box, params):
         ihi = hi[keep]
         imass = mass[keep]
         icnt = cnt[keep]
-        ioff = off[keep]
         left_hi, right_lo = bisect(ilo, ihi, axes[level])
 
         left_mass = integrate_boxes(model, ilo, left_hi, acct)
@@ -144,9 +140,8 @@ def sample_reference(model, box, params):
         hi = np.concatenate([left_hi[take_l], ihi[take_r]])
         mass = np.concatenate([left_mass[take_l], right_mass[take_r]])
         cnt = np.concatenate([k[take_l], (icnt - k)[take_r]])
-        off = np.concatenate([ioff[take_l], (ioff + k)[take_r]])
 
-    out = out[rng.permutation(n_total)]
+    out = np.concatenate(pieces)[rng.permutation(n_total)]
     return SampleRun(out, acct, rho, leaf_count)
 
 

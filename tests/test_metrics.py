@@ -304,6 +304,26 @@ def test_far_apart_sets_take_the_clamped_cross_sum(d, n, m, offset, seed):
     assert np.isclose(got, _oracle_mmd(P, Q, 1.0), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_clamped_sums_of_far_apart_clusters_lose_no_digits(seed):
+    # two 60-point 3-D clusters 1000 apart: every kernel value is between
+    # points of one cluster, and a sum from 2x.y - |x|^2 - |y|^2 cancelled
+    # about 1e6 of each square away
+    rng = np.random.default_rng(seed)
+
+    def clusters():
+        near = rng.uniform(-1.0, 1.0, (30, 3))
+        return np.concatenate([near, 1000.0 + rng.uniform(-1.0, 1.0, (30, 3))])
+
+    X, Y = clusters(), clusters()
+    with _spy_clamped() as clamped:
+        got_self = metrics._kernel_sum(X, X, 1.0, symmetric=True)
+        got_cross = metrics._kernel_sum(X, Y, 1.0)
+    assert clamped.call_count == 2
+    assert np.isclose(got_self, pairwise_kernel_sum(X, X, 1.0), rtol=1e-14, atol=0.0)
+    assert np.isclose(got_cross, pairwise_kernel_sum(X, Y, 1.0), rtol=1e-14, atol=0.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 5), BLOCK_EDGES, st.floats(-1e3, 1e3))
 def test_identical_points_at_a_huge_eta_sum_to_the_pair_count(d, n, value):
