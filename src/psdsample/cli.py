@@ -1,10 +1,12 @@
 """Command line front end: fit, sample, evaluate, benchmark.
 
-Every command reads a single JSON config file and derives all randomness
-from one ``--seed`` flag through ``experiment.derive_seed``, whose
-docstring lists the fixed role keys of each stream.  The benchmark
-command runs ``experiment.run_benchmark``; this module only parses
-configs and writes outputs.
+Every command reads each of its settings from a single JSON config file
+(``--config``) and derives all randomness from one ``--seed`` flag through
+``experiment.derive_seed``, whose docstring lists the fixed role keys of
+each stream.  Besides those two and ``--out``, the only flag is fit's
+``--psd`` mode switch.  The benchmark command runs
+``experiment.run_benchmark``; this module only parses configs and writes
+outputs.
 
 Relative paths in the config's "paths" section resolve under ``--out``;
 absolute paths are used as given.  Every JSON report carries
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import metrics
 from .boxes import HyperRectangle
-from .densities import TargetDensity, get_density, list_densities
+from .densities import TargetDensity, get_density
 from .estimator import FitConfig, fit_psd, fit_rank_one, fit_rank_one_holdout
 from .exceptions import PsdSampleError
 from .experiment import derive_seed, run_benchmark
@@ -80,9 +82,8 @@ def _target(cfg: dict) -> TargetDensity:
         raise ConfigError("density must be a string")
     try:
         return get_density(name)
-    except KeyError:
-        known = ", ".join(list_densities())
-        raise ConfigError(f"unknown density {name!r}; known: {known}") from None
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
 
 
 def _box_dict(box: HyperRectangle) -> dict:
@@ -158,7 +159,12 @@ def _section(cfg: dict, name: str) -> dict:
 def _convert(value, kind, label: str):
     """``kind(value)``, refusing booleans and what int() would truncate:
     an int key takes an integral number such as 1e4, not 2.5 or true, and
-    a float key takes 0.5 or "0.5", not true."""
+    a float key takes 0.5 or "0.5", not true.  A ``list`` key takes a
+    non-empty list whose entries are read as float keys."""
+    if kind is list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{label} must be a non-empty list of numbers")
+        return [_convert(v, float, f"{label}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, bool) or (
         kind is int and isinstance(value, float) and not value.is_integer()
     ):
@@ -185,8 +191,10 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
         lam=_get_number(section, "fit", "lambda"),
         seed=derive_seed(args.seed, 0),
     )
-    taus = section.get("taus")
-    lams = section.get("lambdas")
+    taus, lams = (
+        None if section.get(key) is None else _convert(section[key], list, f"fit.{key}")
+        for key in ("taus", "lambdas")
+    )
     if args.psd:
         if taus or lams:
             raise ConfigError("holdout grids are only supported for rank-one fits")
@@ -218,18 +226,21 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
     section = _section(cfg, "sampler")
     model = _load_model(args, cfg)
 
-    support_key = section.get("find_support", False)
-    if not isinstance(support_key, bool):
+    grow = section.get("find_support", False)
+    if not isinstance(grow, bool):
         raise ConfigError("sampler.find_support must be true or false")
+    metric = section.get("metric", "tv")
+    if metric not in ("tv", "hellinger"):
+        raise ConfigError("sampler.metric must be 'tv' or 'hellinger'")
     support_info = None
     box = _domain_box(cfg)
     if box is not None:
         _check_dim(box, model)
     if box is None or not box.is_bounded():
-        if not (args.find_support or support_key):
+        if not grow:
             raise ConfigError(
-                "domain is missing or unbounded; pass --find-support "
-                "or configure a bounded domain"
+                "domain is missing or unbounded; set sampler.find_support "
+                "to true or configure a bounded domain"
             )
         eps_mass = _convert(section.get("support_eps", 1e-6), float, "sampler.support_eps")
         box = find_support(model, eps_mass)
@@ -242,19 +253,17 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
         }
 
     n_samples = _get_number(section, "sampler", "n_samples", int)
-    rho_cfg = args.rho if args.rho is not None else section.get("rho")
-    eps = args.eps if args.eps is not None else section.get("eps")
-    metric = args.metric or section.get("metric", "tv")
-    if (rho_cfg is None) == (eps is None):
-        raise ConfigError("exactly one of 'rho' or 'eps' must be given")
+    rho, eps = section.get("rho"), section.get("eps")
+    if (rho is None) == (eps is None):
+        raise ConfigError("exactly one of sampler.rho or sampler.eps must be given")
     if eps is not None:
         eps = _convert(eps, float, "sampler.eps")
-        rho_val = adaptive_rho(model, box, eps, metric=metric)
+        rho = adaptive_rho(model, box, eps, metric=metric)
     else:
-        rho_val = _convert(rho_cfg, float, "sampler.rho")
+        rho = _convert(rho, float, "sampler.rho")
 
     params = SamplerParams(
-        rho=rho_val,
+        rho=rho,
         n_samples=n_samples,
         seed=derive_seed(args.seed, 1),
     )
@@ -389,8 +398,8 @@ _BENCHMARK_KEYS = {
     "repetitions": ("repetitions", int),
     "m": ("fit_m", int),
     "rho": ("rho", float),
-    "taus": ("taus", None),
-    "lambdas": ("lams", None),
+    "taus": ("taus", list),
+    "lambdas": ("lams", list),
 }
 
 
@@ -408,9 +417,7 @@ def cmd_benchmark(args: argparse.Namespace, cfg: dict) -> int:
         kwargs["methods"] = methods
     for key, (param, kind) in _BENCHMARK_KEYS.items():
         if key in section:
-            kwargs[param] = (
-                section[key] if kind is None else _convert(section[key], kind, f"benchmark.{key}")
-            )
+            kwargs[param] = _convert(section[key], kind, f"benchmark.{key}")
     rows = run_benchmark(target, budgets, seed=args.seed, **kwargs)
 
     table_path = _config_path(args, cfg, "table", "benchmark.csv")
@@ -443,19 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw i.i.d. samples from a model")
     common(p_sample)
-    p_sample.add_argument("--rho", type=float, default=None, help="leaf side bound")
-    p_sample.add_argument(
-        "--eps", type=float, default=None,
-        help="target distance for adaptive leaf size",
-    )
-    p_sample.add_argument(
-        "--metric", choices=("tv", "hellinger"), default=None,
-        help="distance controlled by --eps",
-    )
-    p_sample.add_argument(
-        "--find-support", action="store_true",
-        help="grow a bounded domain capturing all but support_eps of the mass",
-    )
     p_sample.set_defaults(handler=cmd_sample)
 
     p_eval = sub.add_parser("evaluate", help="exact distances or sample MMD")
@@ -473,6 +467,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         cfg = _load_config(args.config)
         return args.handler(args, cfg)
     except PsdSampleError as exc:

@@ -115,16 +115,6 @@ class FitConfig:
             "seed": int(self.seed),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FitConfig":
-        return cls(
-            n=int(data["n"]),
-            m=int(data["m"]),
-            tau=float(data["tau"]),
-            lam=float(data["lambda"]),
-            seed=int(data.get("seed", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class EvaluationOracle:

@@ -1,11 +1,17 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from psdsample.boxes import HyperRectangle
-from psdsample.cli import derive_seed, main, run_benchmark
-from psdsample.densities import TargetDensity, get_density, register_density
+from psdsample.cli import build_parser, derive_seed, main, run_benchmark
+from psdsample.densities import (
+    TargetDensity,
+    get_density,
+    list_densities,
+    register_density,
+)
 from psdsample.metrics import empirical_mmd
 from psdsample.models import (
     GaussianPsdModel,
@@ -221,8 +227,8 @@ def test_sample_requires_domain_or_flag(tmp_path):
 
 def test_sample_find_support_grows_domain(tmp_path):
     out = fitted_model_dir(tmp_path)
-    cfg = write_config(tmp_path / "s.json", sample_config())
-    rc = main(["sample", "--find-support", "--config", cfg, "--out", str(out)])
+    cfg = write_config(tmp_path / "s.json", sample_config(find_support=True))
+    rc = main(["sample", "--config", cfg, "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "sample_report.json").read_text())
     support = report["support"]
@@ -247,12 +253,12 @@ def test_sample_rho_and_eps_are_exclusive(tmp_path):
 
 def test_sample_adaptive_eps(tmp_path):
     out = fitted_model_dir(tmp_path)
-    data = {"sampler": {"n_samples": 20}, "domain": {"lower": [-4.0], "upper": [4.0]}}
+    data = {
+        "sampler": {"n_samples": 20, "eps": 0.2, "metric": "hellinger"},
+        "domain": {"lower": [-4.0], "upper": [4.0]},
+    }
     cfg = write_config(tmp_path / "s.json", data)
-    rc = main([
-        "sample", "--config", cfg, "--eps", "0.2", "--metric", "hellinger",
-        "--out", str(out),
-    ])
+    rc = main(["sample", "--config", cfg, "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "sample_report.json").read_text())
     assert report["eps"] == 0.2
@@ -461,6 +467,7 @@ FIT = {"n": 20, "m": 3, "tau": 1.0, "lambda": 1e-6}
 DOMAIN_1D = {"lower": [-4.0], "upper": [4.0]}
 DOMAIN_2D = {"lower": [-4.0, 0.0], "upper": [4.0, 1.0]}
 DOMAIN_2D_OPEN = {"lower": [-4.0, 0.0], "upper": [4.0, float("inf")]}
+HELLINGER = {"eps": 0.1, "metric": "hellinger"}
 MISSING = (
     "cannot load model {out}/missing.json: "
     "[Errno 2] No such file or directory: '{out}/missing.json'"
@@ -489,6 +496,25 @@ ERROR_CASES = {
         )
         for kind, density in (("list", []), ("object", {}))
     },
+    "sample-no-domain": (
+        ["sample"], {"sampler": {"n_samples": 5, "rho": 0.5}},
+        2, "domain is missing or unbounded; set sampler.find_support "
+        "to true or configure a bounded domain",
+    ),
+    # the metric is checked even where rho, not eps, sets the leaf size
+    "sample-unknown-metric": (
+        ["sample"],
+        {"domain": DOMAIN_1D, "sampler": {"n_samples": 5, "rho": 0.5, "metric": "w2"}},
+        2, "sampler.metric must be 'tv' or 'hellinger'",
+    ),
+    "fit-negative-seed": (
+        ["fit", "--seed", "-3"], {"density": "gaussian-well-1d", "fit": FIT},
+        2, "--seed must be non-negative, got -3",
+    ),
+    "fit-unknown-density": (
+        ["fit"], {"density": "missing", "fit": FIT},
+        2, "unknown density 'missing'; known: {known}",
+    ),
     "sample-domain-list": (
         ["sample"], {"domain": [1, 2], "sampler": {"n_samples": 5, "rho": 0.5}},
         2, "config section 'domain' must be an object",
@@ -510,14 +536,14 @@ ERROR_CASES = {
         2, "epsilon must be positive and finite",
     ),
     "sample-hellinger-full-model": (
-        ["sample", "--eps", "0.1", "--metric", "hellinger"],
-        {"domain": DOMAIN_1D, "sampler": {"n_samples": 5},
+        ["sample"],
+        {"domain": DOMAIN_1D, "sampler": {"n_samples": 5, **HELLINGER},
          "paths": {"model": "full.json"}},
         2, "hellinger leaf size needs a rank-one model",
     ),
     "sample-rank-one-mismatch": (
-        ["sample", "--eps", "0.1", "--metric", "hellinger"],
-        {"domain": DOMAIN_1D, "sampler": {"n_samples": 5},
+        ["sample"],
+        {"domain": DOMAIN_1D, "sampler": {"n_samples": 5, **HELLINGER},
          "paths": {"model": "mismatch.json"}},
         2, "cannot load model {out}/mismatch.json: "
         "A must equal outer(rank_one_a, rank_one_a)",
@@ -641,9 +667,27 @@ ERROR_CASES = {
         2, "sampler.find_support must be true or false",
     ),
     "sample-boolean-support-eps": (
-        ["sample", "--find-support"],
-        {"sampler": {"n_samples": 5, "rho": 0.5, "support_eps": True}},
+        ["sample"],
+        {"sampler": {"n_samples": 5, "rho": 0.5, "find_support": True, "support_eps": True}},
         2, "sampler.support_eps must be a number",
+    ),
+    # grids are lists of numbers, each refusing booleans like a float key
+    "fit-boolean-taus": (
+        ["fit"],
+        {"density": "gaussian-well-1d",
+         "fit": {**FIT, "taus": [True, 0.5], "lambdas": [1e-6]}},
+        2, "fit.taus[0] must be a number",
+    ),
+    "fit-scalar-taus": (
+        ["fit"],
+        {"density": "gaussian-well-1d", "fit": {**FIT, "taus": 0.5, "lambdas": [1e-6]}},
+        2, "fit.taus must be a non-empty list of numbers",
+    ),
+    "benchmark-boolean-grids": (
+        ["benchmark"],
+        {"density": "squared-diff-5d",
+         "benchmark": {"budgets": [40], "taus": [True], "lambdas": [False]}},
+        2, "benchmark.taus[0] must be a number",
     ),
     "fit-boolean-tau": (
         ["fit"], {"density": "gaussian-well-1d", "fit": {**FIT, "tau": True}},
@@ -693,8 +737,27 @@ def test_error_paths_print_one_line_and_exit_code(
     capsys.readouterr()
     assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == code
     captured = capsys.readouterr()
-    assert captured.err == "config error: " + message.format(out=tmp_path) + "\n"
+    known = ", ".join(list_densities())
+    expected = message.format(out=tmp_path, known=known)
+    assert captured.err == "config error: " + expected + "\n"
     assert captured.out == ""
+
+
+def test_parser_takes_only_config_seed_and_out(tmp_path, capsys):
+    [subparsers] = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(subparsers.choices) == {"fit", "sample", "evaluate", "benchmark"}
+    for name, sub in subparsers.choices.items():
+        options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        expected = {"--config", "--seed", "--out"} | ({"--psd"} if name == "fit" else set())
+        assert options == expected, name
+    # sampler settings are config keys, so argparse refuses them as flags
+    cfg = write_config(tmp_path / "s.json", {**sample_config(), "domain": DOMAIN_1D})
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--rho", "0.5", "--config", cfg, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rho 0.5" in capsys.readouterr().err
 
 
 def test_benchmark_passes_each_config_key_to_its_parameter(tmp_path, monkeypatch):
